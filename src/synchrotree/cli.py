@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 when a search legitimately finds nothing
 import argparse
 import json
 import sys
+from itertools import islice
 
 from .core import (
     SchemaError,
@@ -18,9 +19,9 @@ from .exploration import InputSpec, dump_lines, explore
 from .lab import config_from_json, exp_bijection_audit, run, save_automaton
 from .sync import (
     SyncCertificate,
-    find_tree_word,
     greedy_fallback,
     is_synchronizing,
+    iter_tree_words,
     pick_tree_length,
     shortest_sync_word_exact,
     tree_sync_word,
@@ -31,14 +32,18 @@ class _CliError(Exception):
     pass
 
 
-def _load_automaton(path):
+def _read_json(path):
     try:
         with open(path) as fh:
-            payload = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise _CliError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise _CliError("%s is not valid JSON: %s" % (path, exc))
+
+
+def _load_automaton(path):
+    payload = _read_json(path)
     try:
         return automaton_from_json(payload)
     except SchemaError as exc:
@@ -59,17 +64,8 @@ def _cmd_gen(args):
     if args.out:
         save_automaton(A, args.out)
     else:
-        _emit(_automaton_payload(A))
+        _emit(A.to_json_dict())
     return 0
-
-
-def _automaton_payload(A):
-    return {
-        "format": "synchrotree-automaton-v1",
-        "n": A.n,
-        "alphabet": A.r,
-        "delta": [list(map(int, row)) for row in A.rows],
-    }
 
 
 def _cmd_sync(args):
@@ -104,40 +100,13 @@ def _cmd_sync_exact(args):
 def _cmd_tree_words(args):
     A = _load_automaton(args.infile)
     k = args.k if args.k is not None else pick_tree_length(A.n)
-    if args.all:
-        found = []
-        seen = set()
-        for proof in _scan_all(A, k):
-            if proof[0].letters not in seen:
-                seen.add(proof[0].letters)
-                found.append(proof)
-        payload = {
-            "k": k,
-            "words": [
-                {"word": w.text, "H": h, "root": root} for w, h, root in found
-            ],
-        }
-        _emit(payload)
-        return 0 if found else 1
-    proof = find_tree_word(A, k)
-    if proof is None:
+    found = list(islice(iter_tree_words(A, k), None if args.all else 1))
+    if not found and not args.all:
         print("no tree word of length %d" % k, file=sys.stderr)
         return 1
-    w, h, root = proof
-    _emit({"k": k, "words": [{"word": w.text, "H": h, "root": root}]})
-    return 0
-
-
-def _scan_all(A, k):
-    # exhaustive over non-self-conjugate words, lexicographic
-    from .core import enumerate_nc_words
-    from .sync import _tree_height, _tree_root, _word_map
-
-    for w in enumerate_nc_words(k, A.r):
-        f = _word_map(A, w)
-        root = _tree_root(f, A.n)
-        if root is not None:
-            yield w, _tree_height(f, root), root
+    words = [{"word": w.text, "H": h, "root": root} for w, h, root in found]
+    _emit({"k": k, "words": words})
+    return 0 if found else 1
 
 
 def _cmd_bijection_audit(args):
@@ -148,14 +117,7 @@ def _cmd_bijection_audit(args):
 
 def _cmd_explore(args):
     A = _load_automaton(args.infile)
-    try:
-        with open(args.spec) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise _CliError("cannot read %s: %s" % (args.spec, exc))
-    except json.JSONDecodeError as exc:
-        raise _CliError("%s is not valid JSON: %s" % (args.spec, exc))
-    spec = _input_spec_from_json(payload, A)
+    spec = _input_spec_from_json(_read_json(args.spec), A)
     trace = explore(A, spec)
     for line in dump_lines(trace):
         print(json.dumps(line, sort_keys=True))
@@ -185,13 +147,9 @@ def _input_spec_from_json(payload, A):
 
 
 def _cmd_experiment(args):
-    try:
-        with open(args.config) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise _CliError("cannot read %s: %s" % (args.config, exc))
-    except json.JSONDecodeError as exc:
-        raise _CliError("%s is not valid JSON: %s" % (args.config, exc))
+    payload = _read_json(args.config)
+    if not isinstance(payload, dict):
+        raise _CliError("%s: config must be a JSON object" % args.config)
     payload.setdefault("experiment", args.name)
     if payload["experiment"] != args.name:
         raise _CliError(

@@ -6,6 +6,7 @@ reads it left to right: the image of u under "ab" is b(a(u)).
 """
 
 import itertools
+import re
 import string
 
 import numpy as np
@@ -36,13 +37,22 @@ def trial_seed(seed, trial):
     return (int(seed) ^ splitmix64(int(trial))) & MASK64
 
 
+_INDEX = re.compile(r"0|[1-9][0-9]*")
+
+
 def _text_to_letters(text):
-    if "," in text or any(ch.isdigit() for ch in text):
-        return tuple(int(part) for part in text.split(","))
-    try:
-        return tuple(string.ascii_lowercase.index(ch) for ch in text)
-    except ValueError:
-        raise ValueError("unreadable word text %r" % text) from None
+    # letters 'a'..'z', or canonical decimal indices joined by commas, which
+    # is what format_word writes; "10" is the single letter 10
+    if text.isalpha():
+        try:
+            return tuple(string.ascii_lowercase.index(ch) for ch in text)
+        except ValueError:
+            pass
+    else:
+        parts = text.split(",")
+        if all(_INDEX.fullmatch(part) for part in parts):
+            return tuple(int(part) for part in parts)
+    raise ValueError("unreadable word text %r" % text)
 
 
 class Word:
@@ -109,13 +119,15 @@ def _proper_divisors(k):
 
 
 def is_self_conjugate(word):
-    """True when some nontrivial rotation reproduces the word.
+    """True when some nontrivial rotation reproduces the word (a Word or a
+    tuple of letters).
 
     Equivalent to being a power of a strictly shorter word, so only
     rotations by proper divisors of the length need checking.
     """
-    k = len(word)
-    return any(word.rotate(d) == word for d in _proper_divisors(k))
+    letters = tuple(word)
+    return any(letters[d:] + letters[:d] == letters
+               for d in _proper_divisors(len(letters)))
 
 
 def are_conjugate(w1, w2):

@@ -9,7 +9,7 @@ pair-merging check for synchronizability, and a cubic greedy fallback.
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .core import (
     Automaton,
     Word,
     apply_word_all,
-    enumerate_nc_words,
     format_word,
     is_self_conjugate,
     rng_from_seed,
@@ -70,17 +69,29 @@ def _word_map(A, word):
     return f
 
 
-def _tree_root(f, n):
-    # iterate the map past n steps; a tree leaves a single value standing
-    g = f
-    m = 1
-    while m < n:
-        g = g[g]
-        m <<= 1
-    roots = np.unique(g)
-    if roots.size != 1:
+def _tree_test(f, idx):
+    """The root when f is a loop-rooted tree, else None.
+
+    A tree has exactly one fixed point r, which rejects most maps with one
+    comparison. Then count the states g = f^(2^m) sends to r while squaring
+    g: a state at distance d > 2^m from r has a path state at a distance in
+    (2^m, 2^(m+1)], so a count that stops growing means r's basin is not
+    everything.
+    """
+    fixed = np.flatnonzero(f == idx)
+    if fixed.size != 1:
         return None
-    return int(roots[0])
+    r = int(fixed[0])
+    n = f.size
+    g = f
+    hit = np.count_nonzero(g == r)
+    while hit < n:
+        g = g[g]
+        grown = np.count_nonzero(g == r)
+        if grown == hit:
+            return None
+        hit = grown
+    return r
 
 
 def _tree_height(f, root):
@@ -101,49 +112,90 @@ def _tree_height(f, root):
     return best
 
 
-def _candidate_words(A, k, mode, seed, allow_self_conjugate):
+def _trie_maps(A, k, allow_self_conjugate):
+    """(letters, map) for the words of length k in lexicographic order.
+
+    A depth-first walk of the word trie: each node's map is one gather of
+    its parent's, about r/(r-1) gathers per word. Self-conjugate words are
+    skipped at the leaves before their map is built.
+    """
+    delta = A.delta
+    r = A.r
+    letters = [0] * k
+    maps = [np.arange(A.n, dtype=np.int64)] + [None] * (k - 1)
+    depth = 0  # maps[depth] is the map of letters[:depth]
+    while True:
+        while depth < k - 1:
+            maps[depth + 1] = delta[letters[depth]][maps[depth]]
+            depth += 1
+        head = tuple(letters[:-1])
+        for last in range(r):
+            word = head + (last,)
+            if allow_self_conjugate or not is_self_conjugate(word):
+                yield word, delta[last][maps[-1]]
+        i = k - 2
+        while i >= 0 and letters[i] == r - 1:
+            letters[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        letters[i] += 1
+        depth = i
+
+
+def _sampled_maps(A, k, seed, allow_self_conjugate):
+    # uniform draws without replacement, one word map of k gathers each;
+    # ends once every word of length k was drawn
+    rng = rng_from_seed(seed)
+    seen = set()
+    while len(seen) < A.r ** k:
+        letters = tuple(int(x) for x in rng.integers(0, A.r, size=k))
+        if letters in seen:
+            continue
+        seen.add(letters)
+        w = Word(letters)
+        if allow_self_conjugate or not is_self_conjugate(w):
+            yield letters, _word_map(A, w)
+
+
+def iter_tree_words(A, k, budget=None, mode="exhaustive", seed=0,
+                    allow_self_conjugate=False):
+    """Every word of length k whose one-letter view is a loop-rooted tree.
+
+    Exhaustive mode scans non-self-conjugate words (all words with
+    allow_self_conjugate) in lexicographic order; sampled mode draws them
+    uniformly without replacement. budget caps the number of words
+    examined. Yields (word, height, root) in search order.
+    """
+    if k < 1:
+        raise ValueError("word length must be positive")
     if mode == "exhaustive":
-        if allow_self_conjugate:
-            return (Word(p) for p in product(range(A.r), repeat=k))
-        return enumerate_nc_words(k, A.r)
-    if mode == "sampled":
-        def draw():
-            rng = rng_from_seed(seed)
-            seen = set()
-            while True:
-                letters = tuple(int(x) for x in rng.integers(0, A.r, size=k))
-                if letters in seen:
-                    continue
-                seen.add(letters)
-                w = Word(letters)
-                if allow_self_conjugate or not is_self_conjugate(w):
-                    yield w
-        return draw()
-    raise ValueError("mode must be exhaustive or sampled")
+        maps = _trie_maps(A, k, allow_self_conjugate)
+    elif mode == "sampled":
+        if budget is None:
+            raise ValueError("sampled mode needs a budget")
+        maps = _sampled_maps(A, k, seed, allow_self_conjugate)
+    else:
+        raise ValueError("mode must be exhaustive or sampled")
+    if budget is not None:
+        maps = islice(maps, budget)
+    return _tree_words(A, maps)
+
+
+def _tree_words(A, maps):
+    idx = np.arange(A.n, dtype=np.int64)
+    for letters, f in maps:
+        root = _tree_test(f, idx)
+        if root is not None:
+            yield Word(letters), _tree_height(f, root), root
 
 
 def find_tree_word(A, k, budget=None, mode="exhaustive", seed=0,
                    allow_self_conjugate=False):
-    """First word of length k whose one-letter view is a loop-rooted tree.
-
-    Exhaustive mode scans non-self-conjugate words in lexicographic order;
-    sampled mode draws them uniformly without replacement. budget caps the
-    number of words examined. Returns (word, height, root) or None.
-    """
-    if k < 1:
-        raise ValueError("word length must be positive")
-    if mode == "sampled" and budget is None:
-        raise ValueError("sampled mode needs a budget")
-    examined = 0
-    for w in _candidate_words(A, k, mode, seed, allow_self_conjugate):
-        if budget is not None and examined >= budget:
-            return None
-        examined += 1
-        f = _word_map(A, w)
-        root = _tree_root(f, A.n)
-        if root is not None:
-            return w, _tree_height(f, root), root
-    return None
+    """The first item of iter_tree_words, (word, height, root), or None."""
+    found = iter_tree_words(A, k, budget=budget, mode=mode, seed=seed,
+                            allow_self_conjugate=allow_self_conjugate)
+    return next(found, None)
 
 
 def pick_tree_length(n, epsilon=0.2):
@@ -167,8 +219,8 @@ def tree_sync_word(A, epsilon=0.2, budget=None, seed=0, mode="exhaustive"):
         return None
     w, H, root = found
     word = w.repeat(H)
-    sink = is_synchronizing(A, word)
-    assert sink == root, "tree word repeated height times failed to reset"
+    if is_synchronizing(A, word) != root:
+        raise RuntimeError("tree word repeated height times failed to reset")
     return SyncCertificate(
         word=word, sink=root, method="tree", tree_word=w, height=H,
         verified=True,
@@ -255,7 +307,8 @@ def greedy_fallback(A):
                 p, q = q, p
     word = Word(letters)
     sink = is_synchronizing(A, word)
-    assert sink is not None and {sink} == current, "greedy word failed to reset"
+    if sink is None or {sink} != current:
+        raise RuntimeError("greedy word failed to reset")
     return SyncCertificate(
         word=word, sink=sink, method="greedy", verified=True,
     )

@@ -31,8 +31,13 @@ def test_gen_stdout(capsys):
     assert len(doc["delta"]) == 2
     assert all(len(row) == 5 for row in doc["delta"])
     assert all(0 <= v < 5 for row in doc["delta"] for v in row)
-    rc2, out2, _ = _run(capsys, ["gen", "--n", "5", "--seed", "3"])
-    assert out2 == out
+    rc2, out2, _ = _run(capsys, ["gen", "--n", "5", "--seed", "3", "--alphabet", "3"])
+    assert out2 == (
+        '{"alphabet": 3, "delta": [[4, 0, 0, 1, 0], [4, 4, 2, 0, 0], '
+        '[1, 2, 3, 2, 1]], "format": "synchrotree-automaton-v1", "n": 5}\n'
+    )
+    rc3, out3, _ = _run(capsys, ["gen", "--n", "5", "--seed", "3"])
+    assert out3 == out
 
 
 def test_gen_bad_size(capsys):
@@ -236,3 +241,9 @@ def test_missing_and_malformed_files(tmp_path, capsys):
         capsys, ["experiment", "goodness", "--config", str(tmp_path / "no.json")]
     )
     assert rc == 2
+    for payload in ([1, 2], "goodness", 3):
+        cfg = tmp_path / "notobject.json"
+        cfg.write_text(json.dumps(payload))
+        rc, out, err = _run(capsys, ["experiment", "goodness", "--config", str(cfg)])
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from synchrotree.core import (
     Automaton,
@@ -49,6 +51,29 @@ def test_word_basics():
     assert format_word(Word((0, 2, 1)), r=3) == "0,2,1"
     with pytest.raises(ValueError):
         Word(())
+
+
+@given(
+    st.integers(2, 12).flatmap(
+        lambda r: st.tuples(
+            st.just(r), st.lists(st.integers(0, r - 1), min_size=1, max_size=8)
+        )
+    )
+)
+def test_parse_word_round_trips_format_word(case):
+    r, letters = case
+    w = Word(letters)
+    assert parse_word(format_word(w, r)) == w
+
+
+def test_parse_word_accepts_only_canonical_text():
+    assert parse_word("10") == Word((10,))
+    assert parse_word("0,2,1") == Word((0, 2, 1))
+    assert parse_word("0") == Word((0,))
+    for text in ("01", "0101", "", ",1", "1,", "1,,2", "+1", " 1", "1_0",
+                 "a1", "AB", "\u00b2", "0,01"):
+        with pytest.raises(ValueError):
+            parse_word(text)
 
 
 def test_conjugacy_against_rotation_scan():

@@ -1,14 +1,30 @@
+import contextlib
+import io
+import itertools
+import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from synchrotree import sync
+from synchrotree.cli import main
 from synchrotree.core import (
     Automaton,
     Word,
     apply_word_all,
+    height,
+    is_self_conjugate,
+    is_w_tree,
+    one_letter_view,
     random_automaton,
+    tree_root,
     trial_seed,
 )
+from synchrotree.lab import save_automaton
 from synchrotree.sync import (
     SyncCertificate,
     cerny_automaton,
@@ -16,6 +32,7 @@ from synchrotree.sync import (
     greedy_fallback,
     is_synchronizable,
     is_synchronizing,
+    iter_tree_words,
     pick_tree_length,
     shortest_sync_word_exact,
     tree_sync_word,
@@ -68,6 +85,9 @@ def test_find_tree_word_sampled():
     assert is_synchronizing(A3, word) == root
     # a budget of zero examines nothing
     assert find_tree_word(A3, 2, budget=0, mode="sampled", seed=0) is None
+    # a budget above the number of words ends once every word was drawn
+    ident = Automaton([[0, 1, 2], [0, 1, 2]])
+    assert find_tree_word(ident, 2, budget=100, mode="sampled") is None
 
 
 def test_find_tree_word_self_conjugate_flag():
@@ -75,6 +95,70 @@ def test_find_tree_word_self_conjugate_flag():
     A = Automaton([[1, 2, 2], [1, 0, 2]])
     assert find_tree_word(A, 2) is None
     assert find_tree_word(A, 2, allow_self_conjugate=True) == (Word("aa"), 1, 2)
+
+
+def _reference_tree_words(A, k, budget, allow_self_conjugate):
+    # lexicographic product order, one full tree test per examined word
+    out = []
+    examined = 0
+    for letters in itertools.product(range(A.r), repeat=k):
+        w = Word(letters)
+        if not allow_self_conjugate and is_self_conjugate(w):
+            continue
+        if budget is not None and examined >= budget:
+            break
+        examined += 1
+        if is_w_tree(A, w):
+            out.append((w, height(one_letter_view(A, w)), tree_root(A, w)))
+    return out
+
+
+@st.composite
+def _small_automata(draw):
+    n = draw(st.integers(1, 12))
+    r = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        return random_automaton(n, r, seed=draw(st.integers(0, 2**32)))
+    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    return Automaton(draw(st.lists(row, min_size=r, max_size=r)))
+
+
+def _cli_tree_words_all(A, k):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "a.json")
+        save_automaton(A, path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(["tree-words", "--in", path, "--k", str(k), "--all"])
+    return rc, json.loads(out.getvalue())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    A=_small_automata(),
+    k=st.integers(1, 6),
+    budget=st.one_of(st.none(), st.integers(0, 80)),
+)
+def test_iter_tree_words_matches_brute_force(A, k, budget):
+    for sc in (False, True):
+        expect = _reference_tree_words(A, k, budget, sc)
+        got = list(iter_tree_words(A, k, budget=budget, allow_self_conjugate=sc))
+        assert got == expect
+        assert find_tree_word(A, k, budget=budget, allow_self_conjugate=sc) == (
+            expect[0] if expect else None
+        )
+        # sampled with a budget covering every word sees the same tree words
+        everything = _reference_tree_words(A, k, None, sc)
+        sampled = iter_tree_words(A, k, budget=A.r ** k, mode="sampled",
+                                  seed=k, allow_self_conjugate=sc)
+        assert sorted(sampled, key=lambda t: t[0].letters) == everything
+    everything = _reference_tree_words(A, k, None, False)
+    rc, doc = _cli_tree_words_all(A, k)
+    assert rc == (0 if everything else 1)
+    assert doc == {
+        "k": k,
+        "words": [{"word": w.text, "H": h, "root": r} for w, h, r in everything],
+    }
 
 
 def test_pick_tree_length():
@@ -99,6 +183,19 @@ def test_tree_sync_word_small():
     assert is_synchronizing(A3, cert.word) == cert.sink
     with pytest.raises(ValueError):
         tree_sync_word(Automaton([[0], [0]]))
+
+
+def test_certificates_are_checked_without_assert(monkeypatch):
+    # the verification must run as a check that raises, also under -O
+    A = random_automaton(64, seed=0)
+    w, H, root = find_tree_word(A, pick_tree_length(A.n))
+    assert H >= 2
+    monkeypatch.setattr(sync, "find_tree_word", lambda *a, **kw: (w, H - 1, root))
+    with pytest.raises(RuntimeError):
+        tree_sync_word(A)
+    monkeypatch.setattr(sync, "is_synchronizing", lambda A, word: None)
+    with pytest.raises(RuntimeError):
+        greedy_fallback(A3)
 
 
 def test_tree_sync_word_none_cases():
