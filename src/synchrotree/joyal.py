@@ -91,7 +91,8 @@ def fold_cycles(x, word, check=True):
     edges = []
     for p in range(rs.count):
         th = thread(A, beta[p], 0, word)
-        assert th.is_cyclic
+        if not th.is_cyclic:
+            raise RuntimeError("thread from a cycle minimum is not cyclic")
         alpha = th.entries[-1][0]
         edges.append((alpha, word.letters[k - 1], beta[p], beta[p + 1]))
     plan = RewiringPlan("phi", tuple(edges))

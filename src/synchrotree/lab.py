@@ -12,7 +12,7 @@ import math
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import permutations, product
 
 from .core import (
@@ -84,7 +84,13 @@ class ExperimentConfig:
         rule = tuple(self.k_rule)
         if rule[0] not in ("explicit", "log2", "ln") or len(rule) != 2:
             raise ValueError("k_rule: expected (explicit|log2|ln, value)")
-        object.__setattr__(self, "k_rule", (rule[0], float(rule[1])))
+        try:
+            value = float(rule[1])
+        except (TypeError, ValueError):
+            raise ValueError("k_rule: value must be a number") from None
+        if rule[0] == "explicit" and not (value.is_integer() and value >= 1):
+            raise ValueError("k_rule: explicit k must be a whole number >= 1")
+        object.__setattr__(self, "k_rule", (rule[0], value))
 
     def to_json_dict(self):
         kind, value = self.k_rule
@@ -105,6 +111,10 @@ class ExperimentConfig:
 def config_from_json(doc):
     if not isinstance(doc, dict):
         raise ValueError("config: expected an object")
+    known = {f.name for f in fields(ExperimentConfig)}
+    for key in doc:
+        if key not in known:
+            raise ValueError("%s: unknown key" % (key,))
     if "experiment" not in doc:
         raise ValueError("experiment: missing")
     if "sizes" not in doc or not isinstance(doc["sizes"], list):
@@ -199,7 +209,8 @@ def _row_scaling(cfg, n, k, trial, seed):
     cert = tree_sync_word(A, epsilon=cfg.epsilon, budget=cfg.budget)
     if cert is None:
         return (n, trial, 0, k, None, None)
-    assert cert.verified
+    if not cert.verified:
+        raise RuntimeError("tree certificate was not verified")
     return (n, trial, 1, k, cert.height, len(cert.word))
 
 

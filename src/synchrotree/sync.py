@@ -4,7 +4,9 @@ oracles to validate them.
 The fast route: find a word w whose one-letter view is a loop-rooted tree,
 measure its height H, and emit w^H, which drags every state into the root.
 The oracles: a power-set BFS for exact shortest words on tiny automata, a
-pair-merging check for synchronizability, and a cubic greedy fallback.
+pair-merging check for synchronizability, and a cubic greedy fallback
+(Eppstein 1990). The last two share one table of shortest merging words
+per state pair, held in flat numpy arrays of size n*n.
 """
 
 import math
@@ -218,11 +220,15 @@ def tree_sync_word(A, epsilon=0.2, budget=None, seed=0, mode="exhaustive"):
     if found is None:
         return None
     w, H, root = found
-    word = w.repeat(H)
-    if is_synchronizing(A, word) != root:
+    # apply w's map H times: H gathers instead of |w|*H
+    f = apply_word_all(A, w)
+    images = np.arange(A.n, dtype=np.int64)
+    for _ in range(H):
+        images = f[images]
+    if not (images == root).all():
         raise RuntimeError("tree word repeated height times failed to reset")
     return SyncCertificate(
-        word=word, sink=root, method="tree", tree_word=w, height=H,
+        word=w.repeat(H), sink=root, method="tree", tree_word=w, height=H,
         verified=True,
     )
 
@@ -230,52 +236,57 @@ def tree_sync_word(A, epsilon=0.2, budget=None, seed=0, mode="exhaustive"):
 def _pair_merge_tables(A):
     """Shortest merge data for unordered state pairs.
 
-    Returns (dist, step) keyed by p*n+q with p <= q; step holds the first
-    letter of one shortest merging word. BFS runs backward from the
-    diagonal over preimages.
+    Returns (dist, step), int32 arrays of size n*n indexed by p*n+q with
+    p <= q, -1 where unreached; step holds the first letter of one
+    shortest merging word. BFS runs backward from the diagonal over
+    preimages one level at a time. Each level lists its candidates in
+    FIFO order (parent's queue position, letter, preimage pair) and keeps
+    each pair's first discoverer, so the tables match a plain FIFO queue.
     """
-    n = A.n
-    rows = A.rows
-    pre = [[[] for _ in range(n)] for _ in range(A.r)]
-    for l in range(A.r):
-        row = rows[l]
-        for u in range(n):
-            pre[l][row[u]].append(u)
-    dist = {}
-    step = {}
-    queue = []
-    for v in range(n):
-        key = v * n + v
-        dist[key] = 0
-        queue.append((v, v))
-    head = 0
-    while head < len(queue):
-        p, q = queue[head]
-        head += 1
-        d = dist[p * n + q]
-        for l in range(A.r):
-            for pp in pre[l][p]:
-                for qq in pre[l][q]:
-                    a, b = (pp, qq) if pp <= qq else (qq, pp)
-                    key = a * n + b
-                    if key not in dist:
-                        dist[key] = d + 1
-                        step[key] = l
-                        queue.append((a, b))
+    n, r = A.n, A.r
+    delta = A.delta
+    pre = np.argsort(delta, axis=1, kind="stable")  # states by image, then by state
+    cnt = np.stack([np.bincount(row, minlength=n) for row in delta])
+    first = np.cumsum(cnt, axis=1) - cnt
+    dist = np.full(n * n, -1, dtype=np.int32)
+    step = np.full(n * n, -1, dtype=np.int32)
+    level = np.arange(n, dtype=np.int64) * (n + 1)
+    dist[level] = 0
+    d = 0
+    while level.size:
+        p, q = np.divmod(level, n)
+        a = cnt[:, p].T.ravel()  # one block per (queue position, letter)
+        b = cnt[:, q].T.ravel()
+        size = a * b
+        blk = np.repeat(np.arange(size.size), size)
+        off = np.arange(blk.size) - np.repeat(np.cumsum(size) - size, size)
+        l = blk % r
+        pp = pre[l, first[:, p].T.ravel()[blk] + off // b[blk]]
+        qq = pre[l, first[:, q].T.ravel()[blk] + off % b[blk]]
+        key = np.minimum(pp, qq) * n + np.maximum(pp, qq)
+        fresh = dist[key] < 0
+        key, l = key[fresh], l[fresh]
+        _, found = np.unique(key, return_index=True)
+        found.sort()
+        d += 1
+        level = key[found]
+        dist[level] = d
+        step[level] = l[found]
     return dist, step
 
 
 def is_synchronizable(A):
     """True iff every state pair can be merged by some word."""
     dist, _ = _pair_merge_tables(A)
-    return len(dist) == A.n * (A.n + 1) // 2
+    return np.count_nonzero(dist >= 0) == A.n * (A.n + 1) // 2
 
 
 def greedy_fallback(A):
     """Merge the image set one pair at a time, shortest pair word first.
 
-    Total length stays under n^3. Returns a verified certificate, or None
-    exactly when the automaton is not synchronizable.
+    Ties go to the smallest pair (p, q). Total length stays under n^3.
+    Returns a verified certificate, or None exactly when the automaton is
+    not synchronizable.
     """
     n = A.n
     if n == 1:
@@ -284,30 +295,25 @@ def greedy_fallback(A):
             word=Word((0,)), sink=0, method="greedy", verified=True,
         )
     dist, step = _pair_merge_tables(A)
-    if len(dist) < n * (n + 1) // 2:
+    if np.count_nonzero(dist >= 0) < n * (n + 1) // 2:
         return None
+    dist = dist.reshape(n, n)
     rows = A.rows
-    current = set(range(n))
+    current = np.arange(n)
     letters = []
-    while len(current) > 1:
-        states = sorted(current)
-        best = None
-        for i in range(len(states)):
-            for j in range(i + 1, len(states)):
-                key = states[i] * n + states[j]
-                if best is None or dist[key] < dist[best]:
-                    best = key
-        p, q = divmod(best, n)
+    while current.size > 1:
+        sub = dist[np.ix_(current, current)]
+        sub[np.tril_indices(current.size)] = n * n  # above every distance
+        i, j = divmod(int(sub.argmin()), current.size)
+        p, q = int(current[i]), int(current[j])
         while p != q:
-            l = step[p * n + q if p <= q else q * n + p]
+            l = int(step[p * n + q])
             letters.append(l)
-            current = {rows[l][s] for s in current}
-            p, q = rows[l][p], rows[l][q]
-            if p > q:
-                p, q = q, p
+            current = np.unique(A.delta[l][current])
+            p, q = sorted((rows[l][p], rows[l][q]))
     word = Word(letters)
     sink = is_synchronizing(A, word)
-    if sink is None or {sink} != current:
+    if sink is None or current.tolist() != [sink]:
         raise RuntimeError("greedy word failed to reset")
     return SyncCertificate(
         word=word, sink=sink, method="greedy", verified=True,

@@ -241,6 +241,10 @@ def test_missing_and_malformed_files(tmp_path, capsys):
         capsys, ["experiment", "goodness", "--config", str(tmp_path / "no.json")]
     )
     assert rc == 2
+    cfg = tmp_path / "misspelt.json"
+    cfg.write_text(json.dumps({"experiment": "height", "sizes": [8], "trial": 5}))
+    rc, out, err = _run(capsys, ["experiment", "height", "--config", str(cfg)])
+    assert rc == 2 and out == "" and err.startswith("error:") and "trial" in err
     for payload in ([1, 2], "goodness", 3):
         cfg = tmp_path / "notobject.json"
         cfg.write_text(json.dumps(payload))

@@ -3,8 +3,10 @@ import math
 
 import pytest
 
+from synchrotree import joyal
 from synchrotree.core import (
     Automaton,
+    Thread,
     Word,
     is_w_tree,
     random_automaton,
@@ -95,6 +97,20 @@ def test_fold_rejects_collisions():
     y, plan = fold_cycles(x, w, check=False)
     assert plan.direction == "phi"
     assert is_w_tree(y.automaton, w)
+
+
+def test_fold_checks_threads_without_assert(monkeypatch):
+    # the cyclic-thread check must raise, also under -O
+    real_thread = joyal.thread
+
+    def open_thread(A, u, r, word):
+        th = real_thread(A, u, r, word)
+        return Thread(th.start, th.word, th.entries, th.cut_time, 1)
+
+    x = Labeled(Automaton([[1, 0], [0, 1]]), (0, 1))
+    monkeypatch.setattr(joyal, "thread", open_thread)
+    with pytest.raises(RuntimeError, match="not cyclic"):
+        fold_cycles(x, WA)
 
 
 def test_unfold_rejects_bad_inputs():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from synchrotree import lab
 from synchrotree.core import (
     Automaton,
     Word,
@@ -28,6 +29,7 @@ from synchrotree.lab import (
     run,
     save_automaton,
 )
+from synchrotree.sync import SyncCertificate
 
 
 def test_config_json_round_trip():
@@ -69,6 +71,13 @@ def test_config_validation_messages():
         config_from_json(
             {"experiment": "goodness", "sizes": [4], "k_rule": {"type": "ln"}}
         )
+    for value in (0, -1, 2.5, float("nan"), None, "three"):
+        with pytest.raises(ValueError, match="k_rule"):
+            ExperimentConfig(
+                experiment="goodness", sizes=(4,), k_rule=("explicit", value)
+            )
+    with pytest.raises(ValueError, match="trial: unknown key"):
+        config_from_json({"experiment": "height", "sizes": [8], "trial": 5})
 
 
 def test_resolve_k():
@@ -229,6 +238,16 @@ def test_scaling_small_sizes():
     assert agg["bound_factor"] == 10.0
     if all(p["median_len"] for p in agg["per_n"]):
         assert agg["slope"] is not None
+
+
+def test_scaling_rows_check_certificates_without_assert(monkeypatch):
+    # an unverified certificate must raise, also under -O
+    def unverified(A, **kw):
+        return SyncCertificate(word=Word("a"), sink=0, method="tree")
+
+    monkeypatch.setattr(lab, "tree_sync_word", unverified)
+    with pytest.raises(RuntimeError, match="not verified"):
+        exp_scaling((8,), trials=1, seed=0)
 
 
 def test_height_rows_and_aggregates():

@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -245,6 +246,89 @@ def test_greedy_none_iff_not_synchronizable():
     swap = Automaton([[1, 0], [1, 0]])
     assert not is_synchronizable(swap)
     assert greedy_fallback(swap) is None
+
+
+def _reference_pair_tables(A):
+    # FIFO BFS over pairs in dicts keyed by p*n+q, p <= q
+    n = A.n
+    rows = A.rows
+    pre = [[[] for _ in range(n)] for _ in range(A.r)]
+    for l in range(A.r):
+        for u in range(n):
+            pre[l][rows[l][u]].append(u)
+    dist = {v * n + v: 0 for v in range(n)}
+    step = {}
+    queue = [(v, v) for v in range(n)]
+    head = 0
+    while head < len(queue):
+        p, q = queue[head]
+        head += 1
+        d = dist[p * n + q]
+        for l in range(A.r):
+            for pp in pre[l][p]:
+                for qq in pre[l][q]:
+                    a, b = (pp, qq) if pp <= qq else (qq, pp)
+                    key = a * n + b
+                    if key not in dist:
+                        dist[key] = d + 1
+                        step[key] = l
+                        queue.append((a, b))
+    return dist, step
+
+
+def _reference_greedy(A):
+    # (word, sink) by merging the smallest pair at the least distance
+    n = A.n
+    dist, step = _reference_pair_tables(A)
+    if len(dist) < n * (n + 1) // 2:
+        return None
+    rows = A.rows
+    current = set(range(n))
+    letters = []
+    while len(current) > 1:
+        states = sorted(current)
+        best = None
+        for i in range(len(states)):
+            for j in range(i + 1, len(states)):
+                key = states[i] * n + states[j]
+                if best is None or dist[key] < dist[best]:
+                    best = key
+        p, q = divmod(best, n)
+        while p != q:
+            l = step[p * n + q if p <= q else q * n + p]
+            letters.append(l)
+            current = {rows[l][s] for s in current}
+            p, q = sorted((rows[l][p], rows[l][q]))
+    return Word(letters), current.pop()
+
+
+@st.composite
+def _pair_automata(draw):
+    # uniform, arbitrary or permutation letters; all-permutation automata
+    # and ones with two closed parts are not synchronizable
+    n = draw(st.integers(2, 40))
+    r = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["uniform", "rows", "mixed"]))
+    if kind == "uniform":
+        return random_automaton(n, r, seed=draw(st.integers(0, 2**32)))
+    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    if kind == "mixed":
+        row = st.one_of(row, st.permutations(range(n)))
+    return Automaton(draw(st.lists(row, min_size=r, max_size=r)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=_pair_automata())
+def test_pair_tables_and_greedy_match_dict_reference(A):
+    ref_dist, ref_step = _reference_pair_tables(A)
+    dist, step = sync._pair_merge_tables(A)
+    reached = np.flatnonzero(dist >= 0)
+    assert {int(k): int(dist[k]) for k in reached} == ref_dist
+    assert {int(k): int(step[k]) for k in reached if dist[k] > 0} == ref_step
+    assert is_synchronizable(A) == (len(ref_dist) == A.n * (A.n + 1) // 2)
+    cert = greedy_fallback(A)
+    got = None if cert is None else (cert.word, cert.sink)
+    assert got == _reference_greedy(A)
 
 
 def test_greedy_against_exact():
