@@ -5,6 +5,7 @@ letter indices; for r=2 the letters print as 'a' and 'b'. Applying a word
 reads it left to right: the image of u under "ab" is b(a(u)).
 """
 
+import functools
 import itertools
 import re
 import string
@@ -346,12 +347,11 @@ def thread(A, u, r, word):
 
 
 class FunctionalGraph:
-    """succ[v] is the unique out-neighbor of v; word records where the map
-    came from when it is a one-letter view."""
+    """succ[v] is the unique out-neighbor of v."""
 
-    __slots__ = ("n", "succ", "word")
+    __slots__ = ("n", "succ")
 
-    def __init__(self, succ, word=None):
+    def __init__(self, succ):
         arr = np.asarray(succ, dtype=np.int64)
         if arr.ndim != 1:
             raise ValueError("succ must be one-dimensional")
@@ -363,7 +363,6 @@ class FunctionalGraph:
         arr.setflags(write=False)
         self.succ = arr
         self.n = n
-        self.word = word
 
     def __repr__(self):
         return "FunctionalGraph(%r)" % (self.succ.tolist(),)
@@ -371,7 +370,7 @@ class FunctionalGraph:
 
 def one_letter_view(A, word):
     """The map state -> apply_word(state, word), as a functional graph."""
-    return FunctionalGraph(apply_word_all(A, word), word=word)
+    return FunctionalGraph(apply_word_all(A, word))
 
 
 def cycles(F):
@@ -407,45 +406,84 @@ def height(F):
     cycle length minus one, maximized over vertices. For a loop-rooted tree
     it is the maximum distance to the root.
     """
-    succ = F.succ.tolist()
+    succ = F.succ
     n = F.n
-    on_cycle = [False] * n
-    clen = [0] * n
-    best = 0
-    for cyc in cycles(F):
-        for v in cyc:
-            on_cycle[v] = True
-            clen[v] = len(cyc)
-        best = max(best, len(cyc) - 1)
-    preds = [[] for _ in range(n)]
-    for v in range(n):
-        preds[succ[v]].append(v)
-    depth = [0] * n
-    stack = [v for v in range(n) if on_cycle[v]]
-    while stack:
-        v = stack.pop()
-        for u in preds[v]:
-            if on_cycle[u]:
-                continue
-            depth[u] = depth[v] + 1
-            clen[u] = clen[v]
-            if depth[u] + clen[u] - 1 > best:
-                best = depth[u] + clen[u] - 1
-            stack.append(u)
-    return best
+    # strip in-degree-0 vertices round by round: one stripped in round t
+    # heads a chain of t vertices, and the vertices never stripped are cyclic
+    indeg = np.bincount(succ, minlength=n)
+    rank = (indeg == 0).astype(np.int64)
+    # round 1 strips most vertices, so recount the in-degrees of the rest
+    inner = np.flatnonzero(indeg)
+    indeg = np.bincount(succ[inner], minlength=n)
+    front = inner[indeg[inner] == 0]
+    t = 1
+    while front.size:
+        t += 1
+        rank[front] = t
+        heads, count = np.unique(succ[front], return_counts=True)
+        indeg[heads] -= count
+        front = heads[indeg[heads] == 0]
+    # cycle lengths by pointer doubling with min labels, on the cyclic points
+    cyc = np.flatnonzero(rank == 0)
+    pos = np.zeros(n, dtype=np.int64)
+    pos[cyc] = np.arange(cyc.size)
+    jump = pos[succ[cyc]]
+    label = np.arange(cyc.size)
+    for _ in range(cyc.size.bit_length()):
+        label = np.minimum(label, label[jump])
+        jump = jump[jump]
+    clen = np.zeros(n, dtype=np.int64)
+    clen[cyc] = np.bincount(label)[label]
+    # a tail vertex entering a cycle of length L scores rank + L - 1 and a
+    # cyclic one L - 1; other tail vertices score less than the one below
+    return int((rank + clen[succ]).max()) - 1
+
+
+@functools.lru_cache(maxsize=1)
+def _identity(n):
+    # the tree search tests many maps of one size; build arange(n) once
+    ids = np.arange(n, dtype=np.int64)
+    ids.setflags(write=False)
+    return ids
+
+
+def loop_root(succ):
+    """The root when the successor array succ (integer numpy) is a
+    loop-rooted tree, else None.
+
+    A tree has exactly one fixed point r, which rejects most maps with one
+    comparison. Then count the states g = succ^(2^m) sends to r while
+    squaring g: a state at distance d > 2^m from r has a path state at a
+    distance in (2^m, 2^(m+1)], so a count that stops growing means r's
+    basin is not everything.
+    """
+    fixed = np.flatnonzero(succ == _identity(succ.size))
+    if fixed.size != 1:
+        return None
+    r = int(fixed[0])
+    n = succ.size
+    g = succ
+    hit = np.count_nonzero(g == r)
+    while hit < n:
+        g = g[g]
+        grown = np.count_nonzero(g == r)
+        if grown == hit:
+            return None
+        hit = grown
+    return r
 
 
 def is_w_tree(A, word):
     """True when the one-letter view has a single cyclic point."""
-    return len(cyclic_points(one_letter_view(A, word))) == 1
+    return loop_root(apply_word_all(A, word)) is not None
 
 
 def tree_root(A, word):
     """The unique cyclic point of a w-tree."""
-    pts = cyclic_points(one_letter_view(A, word))
-    if len(pts) != 1:
+    root = loop_root(apply_word_all(A, word))
+    if root is None:
         raise ValueError("not a tree under this word")
-    return next(iter(pts))
+    return root
 
 
 def shift(A, v, word):

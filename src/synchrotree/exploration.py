@@ -12,7 +12,7 @@ steps included, which keeps it independent of the input order.
 
 from dataclasses import dataclass
 
-from .core import thread
+from .core import format_word, thread
 
 
 @dataclass(frozen=True)
@@ -175,17 +175,17 @@ def classify(trace):
     for j in range(trace.d):
         if trace.boundaries[j] < trace.boundaries[j + 1]:
             starts.add(trace.boundaries[j])
-    tags = []
-    for t in range(trace.final_time):
-        if t in starts:
-            tags.append("start")
-        elif trace.step_hits[t - 1]:
-            tags.append("hitting")
-        elif trace.step_explores[t - 1]:
-            tags.append("exploring")
-        else:
-            tags.append("following")
-    return tags
+    return [
+        "start" if t in starts else _arrival_tag(trace, t)
+        for t in range(trace.final_time)
+    ]
+
+
+def _arrival_tag(trace, t):
+    # the tag of the step that arrives at time t
+    if trace.step_hits[t - 1]:
+        return "hitting"
+    return "exploring" if trace.step_explores[t - 1] else "following"
 
 
 def hit_counts(trace):
@@ -580,41 +580,18 @@ def dump_lines(trace):
     """One dict per visited triple plus each thread's closing arrival,
     ready for JSON lines output."""
     tags = classify(trace)
-    out = []
     r = trace.automaton.r
+    out = []
+
+    def line(t, triple, tag):
+        x, y, wid = triple
+        out.append({"t": t, "x": x, "y": y,
+                    "z": format_word(trace.words[wid], r), "tag": tag})
+
     for j in range(trace.d):
         a, b = trace.boundaries[j], trace.boundaries[j + 1]
         for t in range(a, b):
-            x, y, wid = trace.events[t]
-            out.append(
-                {
-                    "t": t,
-                    "x": x,
-                    "y": y,
-                    "z": trace.words[wid].text if r == 2 else ",".join(
-                        str(l) for l in trace.words[wid].letters
-                    ),
-                    "tag": tags[t],
-                }
-            )
-        x, y, wid = trace.closings[j]
-        if a == b:
-            tag = "start"
-        elif trace.step_hits[b - 1]:
-            tag = "hitting"
-        elif not trace.step_explores[b - 1]:
-            tag = "following"
-        else:
-            tag = "exploring"
-        out.append(
-            {
-                "t": b,
-                "x": x,
-                "y": y,
-                "z": trace.words[wid].text if r == 2 else ",".join(
-                    str(l) for l in trace.words[wid].letters
-                ),
-                "tag": tag,
-            }
-        )
+            line(t, trace.events[t], tags[t])
+        # an empty thread closes on its own start triple
+        line(b, trace.closings[j], "start" if a == b else _arrival_tag(trace, b))
     return out

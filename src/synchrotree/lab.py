@@ -9,8 +9,10 @@ serial and parallel runs write byte-identical CSVs.
 import csv
 import json
 import math
+import numbers
 import os
 import statistics
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import permutations, product
@@ -32,26 +34,17 @@ from .core import (
 )
 from .records import (
     ALL_TRIPLES,
+    DoubleLabeled,
     DoubleMarked,
     Labeled,
     MarkedLabeled,
     find_collisions,
-    has_minima_collision,
     is_cycle_good,
     is_good_marked_tree,
+    random_labeling,
 )
 from .joyal import fold_cycles, unfold_branch, unfold_pair
 from .sync import pick_tree_length, tree_sync_word
-
-
-EXPERIMENTS = (
-    "tree_probability",
-    "moment_estimate",
-    "scaling",
-    "goodness",
-    "height",
-    "bijection_audit",
-)
 
 
 @dataclass(frozen=True)
@@ -77,8 +70,12 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ValueError("unknown experiment: %s" % (self.experiment,))
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        if self.trials < 1:
-            raise ValueError("trials: need at least one")
+        if not (_is_number(self.trials) and float(self.trials).is_integer()
+                and self.trials >= 1):
+            raise ValueError("trials: expected a whole number >= 1")
+        object.__setattr__(self, "trials", int(self.trials))
+        if not (_is_number(self.epsilon) and math.isfinite(self.epsilon)):
+            raise ValueError("epsilon: expected a finite number")
         if any(n < 1 for n in self.sizes):
             raise ValueError("sizes: states must be positive")
         rule = tuple(self.k_rule)
@@ -88,6 +85,8 @@ class ExperimentConfig:
             value = float(rule[1])
         except (TypeError, ValueError):
             raise ValueError("k_rule: value must be a number") from None
+        if not math.isfinite(value):
+            raise ValueError("k_rule: value must be finite")
         if rule[0] == "explicit" and not (value.is_integer() and value >= 1):
             raise ValueError("k_rule: explicit k must be a whole number >= 1")
         object.__setattr__(self, "k_rule", (rule[0], value))
@@ -106,6 +105,10 @@ class ExperimentConfig:
             "word": self.word,
             "out": self.out,
         }
+
+
+def _is_number(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def config_from_json(doc):
@@ -180,10 +183,6 @@ def _uniform_automaton(rng, n, r=2):
     return Automaton(rng.integers(0, n, size=(r, n)))
 
 
-def _uniform_sigma(rng, n):
-    return tuple(int(v) for v in rng.permutation(n))
-
-
 # one row per trial; module level so process pools can pick them up
 
 def _row_tree_probability(cfg, n, k, trial, seed):
@@ -197,7 +196,7 @@ def _row_moment_estimate(cfg, n, k, trial, seed):
     rng = rng_from_seed(seed)
     A = _uniform_automaton(rng, n)
     v = int(rng.integers(0, n))
-    sigma = _uniform_sigma(rng, n)
+    sigma = random_labeling(n, rng)
     w = random_nc_word(k, A.r, rng)
     hit = is_good_marked_tree(MarkedLabeled(A, v, sigma), w)
     return (n, trial, int(hit))
@@ -230,11 +229,12 @@ def _row_goodness(cfg, n, k, trial, seed):
     rng = rng_from_seed(seed)
     w1, w2 = _nc_word_pair(k)
     A = _uniform_automaton(rng, n)
-    sigma1 = _uniform_sigma(rng, n)
-    sigma2 = _uniform_sigma(rng, n)
-    cycle_bad = not is_cycle_good(Labeled(A, sigma1), w1)
-    collision = has_minima_collision(A, sigma1, sigma2, w1, w2)
-    return (n, trial, k, int(cycle_bad), int(collision))
+    x = DoubleLabeled(A, random_labeling(n, rng), random_labeling(n, rng))
+    # has_minima_collision's scan; it finishes triple (1, 1, 1), the
+    # cycle-good event of sigma1 under w1, before any other triple
+    hits = find_collisions(x, w1, w2, ALL_TRIPLES, first_only=True)
+    cycle_bad = bool(hits) and hits[0].ihj == (1, 1, 1)
+    return (n, trial, k, int(cycle_bad), int(bool(hits)))
 
 
 def _row_height(cfg, n, k, trial, seed):
@@ -243,27 +243,6 @@ def _row_height(cfg, n, k, trial, seed):
     w = Word(rng.integers(0, A.r, size=k).tolist())
     h = height(one_letter_view(A, w))
     return (n, trial, k, h, int(h > 5 * math.sqrt(n)))
-
-
-_ROWS = {
-    "tree_probability": _row_tree_probability,
-    "moment_estimate": _row_moment_estimate,
-    "scaling": _row_scaling,
-    "goodness": _row_goodness,
-    "height": _row_height,
-}
-
-_COLUMNS = {
-    "tree_probability": ("n", "trial", "is_tree"),
-    "moment_estimate": ("n", "trial", "hit"),
-    "scaling": ("n", "trial", "success", "k", "height", "word_len"),
-    "goodness": ("n", "trial", "k", "cycle_bad", "minima_collision"),
-    "height": ("n", "trial", "k", "height", "exceeds"),
-    "bijection_audit": (
-        "n", "k", "word", "cycle_good", "good_trees", "round_trips",
-        "failures",
-    ),
-}
 
 
 def _freq(values):
@@ -372,18 +351,39 @@ def _agg_height(cfg, rows):
     return {"per_n": per, "exceedances": sum(p["exceedances"] for p in per)}
 
 
-_AGGS = {
-    "tree_probability": _agg_tree_probability,
-    "moment_estimate": _agg_moment_estimate,
-    "scaling": _agg_scaling,
-    "goodness": _agg_goodness,
-    "height": _agg_height,
+_Experiment = namedtuple("_Experiment", "columns row aggregate")
+
+# the CSV columns, one trial's row and the aggregates over the rows; the
+# audit is exhaustive, not per trial, and _run_bijection_audit runs it
+EXPERIMENTS = {
+    "tree_probability": _Experiment(
+        ("n", "trial", "is_tree"), _row_tree_probability, _agg_tree_probability,
+    ),
+    "moment_estimate": _Experiment(
+        ("n", "trial", "hit"), _row_moment_estimate, _agg_moment_estimate,
+    ),
+    "scaling": _Experiment(
+        ("n", "trial", "success", "k", "height", "word_len"), _row_scaling,
+        _agg_scaling,
+    ),
+    "goodness": _Experiment(
+        ("n", "trial", "k", "cycle_bad", "minima_collision"), _row_goodness,
+        _agg_goodness,
+    ),
+    "height": _Experiment(
+        ("n", "trial", "k", "height", "exceeds"), _row_height, _agg_height,
+    ),
+    "bijection_audit": _Experiment(
+        ("n", "k", "word", "cycle_good", "good_trees", "round_trips",
+         "failures"),
+        None, None,
+    ),
 }
 
 
 def _job(args):
     cfg, n, k, trial, seed = args
-    return _ROWS[cfg.experiment](cfg, n, k, trial, seed)
+    return EXPERIMENTS[cfg.experiment].row(cfg, n, k, trial, seed)
 
 
 def run(config, workers=None):
@@ -414,10 +414,10 @@ def run(config, workers=None):
         else:
             rows = [_job(args) for args in jobs]
         rows = tuple(rows)
-        aggregates = _AGGS[config.experiment](config, rows)
+        exp = EXPERIMENTS[config.experiment]
         record = ExperimentRecord(
-            config=config, columns=_COLUMNS[config.experiment], rows=rows,
-            aggregates=aggregates,
+            config=config, columns=exp.columns, rows=rows,
+            aggregates=exp.aggregate(config, rows),
         )
     if config.out:
         write_record_csv(record, config.out)
@@ -429,7 +429,7 @@ def recompute_aggregates(record):
     cfg = record.config
     if cfg.experiment == "bijection_audit":
         return _audit_aggregates(record.rows, record.aggregates)
-    return _AGGS[cfg.experiment](cfg, record.rows)
+    return EXPERIMENTS[cfg.experiment].aggregate(cfg, record.rows)
 
 
 def _cell(x):
@@ -558,17 +558,13 @@ def _run_bijection_audit(config):
                     for i in range(4):
                         totals[i] += out[i]
                 rows.append((n, k, w.text) + tuple(totals))
-    aggregates = {
-        "total_round_trips": sum(r[5] for r in rows),
-        "total_failures": sum(r[6] for r in rows),
-        "cardinalities_match": all(r[3] == r[4] for r in rows),
-    }
+    aggregates = _audit_aggregates(rows, {})
     if n_max >= 3 and k_max >= 3:
         checked, failures = _commutation_audit(3, Word("aab"), Word("abb"))
         aggregates["commute_checked"] = checked
         aggregates["commute_failures"] = failures
     record = ExperimentRecord(
-        config=config, columns=_COLUMNS["bijection_audit"],
+        config=config, columns=EXPERIMENTS["bijection_audit"].columns,
         rows=tuple(rows), aggregates=aggregates,
     )
     return record

@@ -3,7 +3,10 @@
 A labeling sigma is a permutation of the states, read as a priority order.
 Record sets collect the distinguished vertices where the rewiring bijection
 deletes and reattaches edges; the good events rule out thread arrivals that
-would make those rewirings ambiguous.
+would make those rewirings ambiguous. One thread walk, _scan_collisions,
+finds every such arrival: the one-word events scan a single record set,
+and find_collisions scans (i, h, j) triples across two coordinates, on
+their cycle minima or on their branch records.
 """
 
 from dataclasses import dataclass
@@ -259,10 +262,11 @@ def _check_word_pair(w1, w2):
 
 
 def find_collisions(x, w1, w2, which, first_only=False):
-    """Witnesses for the given (i, h, j) triples on a doubly-marked
-    configuration: threads start at coordinate i's branch records, walk
-    under word h, and arrivals on coordinate j's records count unless
-    j == h and the arrival congruence is 0.
+    """Witnesses for the given (i, h, j) triples on a two-coordinate
+    configuration: threads start at coordinate i's records, walk under
+    word h, and arrivals on coordinate j's records count unless j == h and
+    the arrival congruence is 0. The records are the branch records of a
+    DoubleMarked and the cycle minima of a DoubleLabeled.
 
     Scan order is the given triple order, then source index, then
     congruence, then time, so the first witness is deterministic.
@@ -270,10 +274,16 @@ def find_collisions(x, w1, w2, which, first_only=False):
     _check_word_pair(w1, w2)
     A = x.automaton
     words = {1: w1, 2: w2}
-    idx = {
-        1: _indexed(branch_records(MarkedLabeled(A, x.mark1, x.sigma1), w1).vertices),
-        2: _indexed(branch_records(MarkedLabeled(A, x.mark2, x.sigma2), w2).vertices),
-    }
+    if isinstance(x, DoubleLabeled):
+        coords = {1: Labeled(A, x.sigma1), 2: Labeled(A, x.sigma2)}
+        records = cycle_minima
+    else:
+        coords = {
+            1: MarkedLabeled(A, x.mark1, x.sigma1),
+            2: MarkedLabeled(A, x.mark2, x.sigma2),
+        }
+        records = branch_records
+    idx = {i: _indexed(records(coords[i], words[i]).vertices) for i in (1, 2)}
     out = []
     for ihj in which:
         i, h, j = ihj
@@ -301,34 +311,5 @@ def has_minima_collision(A, sigma1, sigma2, w1, w2):
     word, arrives on a recorded minimum apart from the unavoidable
     same-word congruence-0 returns.
     """
-    _check_word_pair(w1, w2)
-    k = len(w1)
-    beta = {
-        1: _indexed(cycle_minima(Labeled(A, sigma1), w1).vertices),
-        2: _indexed(cycle_minima(Labeled(A, sigma2), w2).vertices),
-    }
-    words = {1: w1, 2: w2}
-    rows = A.rows
-    t1, t2 = beta[1], beta[2]
-    for i in (1, 2):
-        for h in (1, 2):
-            letters = words[h].letters
-            for v in beta[i]:
-                for r in range(k):
-                    u, c = v, r
-                    seen = {u * k + c}
-                    while True:
-                        u = rows[letters[c]][u]
-                        c += 1
-                        if c == k:
-                            c = 0
-                        key = u * k + c
-                        if key in seen:
-                            break
-                        seen.add(key)
-                        if c != 0:
-                            if u in t1 or u in t2:
-                                return True
-                        elif (h == 2 and u in t1) or (h == 1 and u in t2):
-                            return True
-    return False
+    x = DoubleLabeled(A, sigma1, sigma2)
+    return bool(find_collisions(x, w1, w2, ALL_TRIPLES, first_only=True))

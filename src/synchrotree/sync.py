@@ -3,10 +3,12 @@ oracles to validate them.
 
 The fast route: find a word w whose one-letter view is a loop-rooted tree,
 measure its height H, and emit w^H, which drags every state into the root.
-The oracles: a power-set BFS for exact shortest words on tiny automata, a
-pair-merging check for synchronizability, and a cubic greedy fallback
-(Eppstein 1990). The last two share one table of shortest merging words
-per state pair, held in flat numpy arrays of size n*n.
+The search only builds word maps; the tree test and the height come from
+core's functional-graph kernel, loop_root and height. The oracles: a
+power-set BFS for exact shortest words on tiny automata, a pair-merging
+check for synchronizability, and a cubic greedy fallback (Eppstein 1990).
+The last two share one table of shortest merging words per state pair,
+held in flat numpy arrays of size n*n.
 """
 
 import math
@@ -17,10 +19,13 @@ import numpy as np
 
 from .core import (
     Automaton,
+    FunctionalGraph,
     Word,
     apply_word_all,
     format_word,
+    height,
     is_self_conjugate,
+    loop_root,
     rng_from_seed,
 )
 
@@ -61,57 +66,6 @@ def is_synchronizing(A, word):
     if (images == first).all():
         return first
     return None
-
-
-def _word_map(A, word):
-    # successor array of the one-letter view, built with k gathers
-    f = np.arange(A.n, dtype=np.int64)
-    for l in word.letters:
-        f = A.delta[l][f]
-    return f
-
-
-def _tree_test(f, idx):
-    """The root when f is a loop-rooted tree, else None.
-
-    A tree has exactly one fixed point r, which rejects most maps with one
-    comparison. Then count the states g = f^(2^m) sends to r while squaring
-    g: a state at distance d > 2^m from r has a path state at a distance in
-    (2^m, 2^(m+1)], so a count that stops growing means r's basin is not
-    everything.
-    """
-    fixed = np.flatnonzero(f == idx)
-    if fixed.size != 1:
-        return None
-    r = int(fixed[0])
-    n = f.size
-    g = f
-    hit = np.count_nonzero(g == r)
-    while hit < n:
-        g = g[g]
-        grown = np.count_nonzero(g == r)
-        if grown == hit:
-            return None
-        hit = grown
-    return r
-
-
-def _tree_height(f, root):
-    # longest distance to the root, computed over predecessor lists
-    n = len(f)
-    preds = [[] for _ in range(n)]
-    for v in range(n):
-        if v != root:
-            preds[int(f[v])].append(v)
-    best = 0
-    stack = [(root, 0)]
-    while stack:
-        v, depth = stack.pop()
-        if depth > best:
-            best = depth
-        for u in preds[v]:
-            stack.append((u, depth + 1))
-    return best
 
 
 def _trie_maps(A, k, allow_self_conjugate):
@@ -157,7 +111,7 @@ def _sampled_maps(A, k, seed, allow_self_conjugate):
         seen.add(letters)
         w = Word(letters)
         if allow_self_conjugate or not is_self_conjugate(w):
-            yield letters, _word_map(A, w)
+            yield letters, apply_word_all(A, w)
 
 
 def iter_tree_words(A, k, budget=None, mode="exhaustive", seed=0,
@@ -181,15 +135,14 @@ def iter_tree_words(A, k, budget=None, mode="exhaustive", seed=0,
         raise ValueError("mode must be exhaustive or sampled")
     if budget is not None:
         maps = islice(maps, budget)
-    return _tree_words(A, maps)
+    return _tree_words(maps)
 
 
-def _tree_words(A, maps):
-    idx = np.arange(A.n, dtype=np.int64)
+def _tree_words(maps):
     for letters, f in maps:
-        root = _tree_test(f, idx)
+        root = loop_root(f)
         if root is not None:
-            yield Word(letters), _tree_height(f, root), root
+            yield Word(letters), height(FunctionalGraph(f)), root
 
 
 def find_tree_word(A, k, budget=None, mode="exhaustive", seed=0,

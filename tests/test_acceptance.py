@@ -129,11 +129,14 @@ def test_criterion_07_height_bound_large():
     assert per["max_height"] <= per["bound"]
 
 
-def _claim_trace(seed):
-    rng = rng_from_seed(seed)
-    n = int(rng.integers(30, 201))
-    A = random_automaton(n, 2, seed=seed)
-    k = int(rng.integers(2, 7))
+def _claim_trace(seed, n=None, k=None):
+    """An exploration of a uniform automaton; A draws from its own stream,
+    and n, k (unless given), d, the words and the entries from another."""
+    rng = rng_from_seed(trial_seed(seed, 1))
+    if n is None:
+        n = int(rng.integers(30, 201))
+        k = int(rng.integers(2, 7))
+    A = random_automaton(n, 2, seed=trial_seed(seed, 0))
     d = int(rng.integers(1, 5))
     words = []
     guard = 0
@@ -160,23 +163,8 @@ def test_criterion_08_exploration_claims_hold():
 
 
 def test_criterion_09_typicality_at_scale():
-    n, k = 10000, 10
     for i in range(1000):
-        seed = trial_seed(9, i)
-        rng = rng_from_seed(seed)
-        A = random_automaton(n, 2, seed=seed)
-        d = int(rng.integers(1, 5))
-        words = []
-        guard = 0
-        while len(words) < d and guard < 300:
-            w = random_nc_word(k, 2, rng)
-            if all(not are_conjugate(w, v) for v in words):
-                words.append(w)
-            guard += 1
-        entries = tuple(
-            (int(rng.integers(n)), int(rng.integers(k)), w) for w in words
-        )
-        report = check_typicality(explore(A, InputSpec(entries)))
+        report = check_typicality(_claim_trace(trial_seed(9, i), 10000, 10))
         assert report.typical
 
 

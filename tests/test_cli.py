@@ -245,6 +245,14 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     cfg.write_text(json.dumps({"experiment": "height", "sizes": [8], "trial": 5}))
     rc, out, err = _run(capsys, ["experiment", "height", "--config", str(cfg)])
     assert rc == 2 and out == "" and err.startswith("error:") and "trial" in err
+    for name, key, value in (("height", "trials", "5"), ("height", "trials", 2.5),
+                             ("scaling", "epsilon", "x"),
+                             ("height", "k_rule", {"type": "log2", "epsilon": 1e999})):
+        cfg = tmp_path / "badtype.json"
+        cfg.write_text(json.dumps({"experiment": name, "sizes": [8], key: value}))
+        rc, out, err = _run(capsys, ["experiment", name, "--config", str(cfg)])
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and key in err and "Traceback" not in err
     for payload in ([1, 2], "goodness", 3):
         cfg = tmp_path / "notobject.json"
         cfg.write_text(json.dumps(payload))

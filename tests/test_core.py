@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synchrotree.core import (
@@ -23,6 +23,7 @@ from synchrotree.core import (
     height,
     is_self_conjugate,
     is_w_tree,
+    loop_root,
     one_letter_view,
     parse_word,
     random_automaton,
@@ -239,6 +240,66 @@ def test_height():
     assert height(one_letter_view(A3, AB)) == 1
     # chain 3 -> 2 -> 1 -> 0 -> 0
     assert height(FunctionalGraph([0, 0, 1, 2])) == 3
+
+
+def _reference_height(F):
+    # the former pure-Python height: cycles from cycles(), then depths by a
+    # walk over predecessor lists
+    succ = F.succ.tolist()
+    n = F.n
+    on_cycle = [False] * n
+    clen = [0] * n
+    best = 0
+    for cyc in cycles(F):
+        for v in cyc:
+            on_cycle[v] = True
+            clen[v] = len(cyc)
+        best = max(best, len(cyc) - 1)
+    preds = [[] for _ in range(n)]
+    for v in range(n):
+        preds[succ[v]].append(v)
+    depth = [0] * n
+    stack = [v for v in range(n) if on_cycle[v]]
+    while stack:
+        v = stack.pop()
+        for u in preds[v]:
+            if on_cycle[u]:
+                continue
+            depth[u] = depth[v] + 1
+            clen[u] = clen[v]
+            best = max(best, depth[u] + clen[u] - 1)
+            stack.append(u)
+    return best
+
+
+@st.composite
+def _maps(draw):
+    # arbitrary maps, loop-rooted trees, permutations, and permutations
+    # with some entries redirected, which keep several cycles with tails
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["any", "tree", "perm", "mixed"]))
+    if kind == "any":
+        return draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    if kind == "tree":
+        succ = [order[0]] * n
+        for i in range(1, n):
+            succ[order[i]] = order[draw(st.integers(0, i - 1))]
+        return succ
+    succ = list(order)
+    if kind == "mixed":
+        for v in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+            succ[v] = draw(st.integers(0, n - 1))
+    return succ
+
+
+@settings(max_examples=300, deadline=None)
+@given(succ=_maps())
+def test_height_and_loop_root_match_cycle_references(succ):
+    F = FunctionalGraph(succ)
+    assert height(F) == _reference_height(F)
+    pts = cyclic_points(F)
+    assert loop_root(F.succ) == (min(pts) if len(pts) == 1 else None)
 
 
 def test_shift():

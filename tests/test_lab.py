@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synchrotree import lab
 from synchrotree.core import (
@@ -11,6 +13,7 @@ from synchrotree.core import (
     count_nc_words,
     is_w_tree,
     random_automaton,
+    rng_from_seed,
     trial_seed,
 )
 from synchrotree.lab import (
@@ -28,6 +31,12 @@ from synchrotree.lab import (
     resolve_k,
     run,
     save_automaton,
+)
+from synchrotree.records import (
+    Labeled,
+    has_minima_collision,
+    is_cycle_good,
+    random_labeling,
 )
 from synchrotree.sync import SyncCertificate
 
@@ -76,6 +85,16 @@ def test_config_validation_messages():
             ExperimentConfig(
                 experiment="goodness", sizes=(4,), k_rule=("explicit", value)
             )
+    for rule in (("log2", float("inf")), ("ln", float("-inf"))):
+        with pytest.raises(ValueError, match="k_rule"):
+            ExperimentConfig(experiment="goodness", sizes=(4,), k_rule=rule)
+    for value in ("5", 2.5, 0, True, None, float("nan")):
+        with pytest.raises(ValueError, match="trials"):
+            ExperimentConfig(experiment="height", sizes=(8,), trials=value)
+    assert ExperimentConfig(experiment="height", sizes=(8,), trials=5.0).trials == 5
+    for value in ("x", None, True, float("inf")):
+        with pytest.raises(ValueError, match="epsilon"):
+            ExperimentConfig(experiment="scaling", sizes=(8,), epsilon=value)
     with pytest.raises(ValueError, match="trial: unknown key"):
         config_from_json({"experiment": "height", "sizes": [8], "trial": 5})
 
@@ -156,15 +175,39 @@ def test_recompute_aggregates_matches():
 
 
 def test_rows_reproducible_from_seeds():
-    from synchrotree.lab import _ROWS
-
     cfg = _goodness_cfg()
     record = run(cfg)
     for si, n in enumerate(cfg.sizes):
         for trial in (0, 7):
             index = si * cfg.trials + trial
-            row = _ROWS["goodness"](cfg, n, 3, trial, trial_seed(cfg.seed, index))
+            row = lab.EXPERIMENTS["goodness"].row(
+                cfg, n, 3, trial, trial_seed(cfg.seed, index)
+            )
             assert row == record.rows[index]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 120),
+    k=st.sampled_from([1, 3, 4, 5, 6]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_goodness_row_flags_are_the_two_events(n, k, seed):
+    # one scan fills both flags; each must be its own event
+    cfg = ExperimentConfig(
+        experiment="goodness", sizes=(n,), k_rule=("explicit", k)
+    )
+    row = lab.EXPERIMENTS["goodness"].row(cfg, n, k, 0, seed)
+    rng = rng_from_seed(seed)
+    w1, w2 = lab._nc_word_pair(k)
+    A = Automaton(rng.integers(0, n, size=(2, n)))
+    sigma1 = random_labeling(n, rng)
+    sigma2 = random_labeling(n, rng)
+    assert row == (
+        n, 0, k,
+        int(not is_cycle_good(Labeled(A, sigma1), w1)),
+        int(has_minima_collision(A, sigma1, sigma2, w1, w2)),
+    )
 
 
 def test_single_trial_runs():

@@ -17,12 +17,10 @@ from synchrotree.core import (
     Automaton,
     Word,
     apply_word_all,
-    height,
+    cyclic_points,
     is_self_conjugate,
-    is_w_tree,
     one_letter_view,
     random_automaton,
-    tree_root,
     trial_seed,
 )
 from synchrotree.lab import save_automaton
@@ -99,7 +97,8 @@ def test_find_tree_word_self_conjugate_flag():
 
 
 def _reference_tree_words(A, k, budget, allow_self_conjugate):
-    # lexicographic product order, one full tree test per examined word
+    # lexicographic product order; a tree has one cyclic point, its root,
+    # and its height is the least H for which H steps send every state there
     out = []
     examined = 0
     for letters in itertools.product(range(A.r), repeat=k):
@@ -109,8 +108,16 @@ def _reference_tree_words(A, k, budget, allow_self_conjugate):
         if budget is not None and examined >= budget:
             break
         examined += 1
-        if is_w_tree(A, w):
-            out.append((w, height(one_letter_view(A, w)), tree_root(A, w)))
+        F = one_letter_view(A, w)
+        pts = cyclic_points(F)
+        if len(pts) == 1:
+            (root,) = pts
+            images = list(range(A.n))
+            H = 0
+            while any(v != root for v in images):
+                images = [int(F.succ[v]) for v in images]
+                H += 1
+            out.append((w, H, root))
     return out
 
 
