@@ -135,7 +135,8 @@ def are_conjugate(w1, w2):
     """True when the two words differ by a rotation."""
     if len(w1) != len(w2):
         return False
-    return any(w1.rotate(m) == w2 for m in range(len(w1)))
+    a, b = tuple(w1), tuple(w2)
+    return any(a[m:] + a[:m] == b for m in range(len(a)))
 
 
 def enumerate_nc_words(k, r=2):
@@ -148,8 +149,26 @@ def enumerate_nc_words(k, r=2):
             yield w
 
 
+def _mobius(d):
+    mu = 1
+    p = 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if d > 1 else mu
+
+
 def count_nc_words(k, r=2):
-    return sum(1 for _ in enumerate_nc_words(k, r))
+    """How many words enumerate_nc_words(k, r) yields, without enumerating:
+    by the necklace formula there are sum over d | k of mobius(d) * r^(k/d)
+    words of length k that are no power of a shorter word."""
+    if k < 1:
+        raise ValueError("word length must be positive")
+    return sum(_mobius(d) * r ** (k // d) for d in range(1, k + 1) if k % d == 0)
 
 
 def random_nc_word(k, r, rng):
@@ -168,7 +187,7 @@ class Automaton:
     always builds a new table.
     """
 
-    __slots__ = ("n", "r", "delta", "rows", "_hash")
+    __slots__ = ("n", "r", "delta", "_rows", "_hash")
 
     def __init__(self, delta):
         arr = np.array(delta, dtype=np.int64)
@@ -185,8 +204,20 @@ class Automaton:
         self.delta = arr
         self.n = n
         self.r = r
-        self.rows = tuple(tuple(int(x) for x in row) for row in arr)
+        self._rows = None
         self._hash = None
+
+    @property
+    def rows(self):
+        """delta as a tuple of tuples of ints, built on first use: the
+        scalar walks index it, the numpy paths never need it."""
+        if self._rows is None:
+            self._rows = tuple(map(tuple, self.delta.tolist()))
+        return self._rows
+
+    def __reduce__(self):
+        # rebuilt through __init__, so the copy's delta is read-only too
+        return (Automaton, (self.delta,))
 
     def __eq__(self, other):
         return (
@@ -241,12 +272,16 @@ def automaton_from_json(doc):
 
 
 def random_automaton(n, r=2, seed=0):
-    """Uniform automaton: every transition target drawn independently."""
+    """Uniform automaton: every transition target drawn independently.
+
+    seed is an int, drawn from as rng_from_seed(seed), or a
+    numpy.random.Generator that is drawn from in place.
+    """
     if n < 1:
         raise ValueError("need at least one state")
     if r < 2:
         raise ValueError("need at least two letters")
-    rng = rng_from_seed(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else rng_from_seed(seed)
     return Automaton(rng.integers(0, n, size=(r, n), dtype=np.int64))
 
 
@@ -376,21 +411,23 @@ def one_letter_view(A, word):
 def cycles(F):
     """All cycles of the graph, each listed in successor order."""
     succ = F.succ.tolist()
-    state = [0] * F.n  # 0 fresh, 1 on the active path, 2 finished
+    walk = [-1] * F.n  # the start of the walk that first reached each vertex
     out = []
     for s in range(F.n):
-        if state[s]:
+        if walk[s] >= 0:
             continue
-        path = []
         v = s
-        while state[v] == 0:
-            state[v] = 1
-            path.append(v)
+        while walk[v] < 0:
+            walk[v] = s
             v = succ[v]
-        if state[v] == 1:
-            out.append(tuple(path[path.index(v):]))
-        for u in path:
-            state[u] = 2
+        if walk[v] == s:
+            # this walk closed on itself, entering its cycle at v
+            cyc = [v]
+            u = succ[v]
+            while u != v:
+                cyc.append(u)
+                u = succ[u]
+            out.append(tuple(cyc))
     return tuple(out)
 
 

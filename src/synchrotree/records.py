@@ -9,6 +9,9 @@ and find_collisions scans (i, h, j) triples across two coordinates, on
 their cycle minima or on their branch records.
 """
 
+import itertools
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .core import (
@@ -23,14 +26,28 @@ from .core import (
 
 
 def _check_sigma(sigma, n):
-    sigma = tuple(int(x) for x in sigma)
-    if sorted(sigma) != list(range(n)):
+    try:
+        sigma = tuple(map(operator.index, sigma))
+    except TypeError:
+        raise ValueError("sigma must hold integer labels") from None
+    # n distinct labels in range(n) are a permutation
+    if len(sigma) != n or len(set(sigma)) != n or min(sigma) < 0 or max(sigma) >= n:
         raise ValueError("sigma must be a permutation of the states")
     return sigma
 
 
+def _check_mark(mark, n):
+    try:
+        mark = operator.index(mark)
+    except TypeError:
+        raise ValueError("mark must be an integer state") from None
+    if not 0 <= mark < n:
+        raise ValueError("mark out of range")
+    return mark
+
+
 def random_labeling(n, rng):
-    return tuple(int(v) for v in rng.permutation(n))
+    return tuple(rng.permutation(n).tolist())
 
 
 @dataclass(frozen=True)
@@ -53,9 +70,8 @@ class MarkedLabeled:
     sigma: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "mark", _check_mark(self.mark, self.automaton.n))
         object.__setattr__(self, "sigma", _check_sigma(self.sigma, self.automaton.n))
-        if not 0 <= self.mark < self.automaton.n:
-            raise ValueError("mark out of range")
 
 
 @dataclass(frozen=True)
@@ -70,10 +86,10 @@ class DoubleMarked:
 
     def __post_init__(self):
         n = self.automaton.n
+        object.__setattr__(self, "mark1", _check_mark(self.mark1, n))
+        object.__setattr__(self, "mark2", _check_mark(self.mark2, n))
         object.__setattr__(self, "sigma1", _check_sigma(self.sigma1, n))
         object.__setattr__(self, "sigma2", _check_sigma(self.sigma2, n))
-        if not (0 <= self.mark1 < n and 0 <= self.mark2 < n):
-            raise ValueError("mark out of range")
 
 
 @dataclass(frozen=True)
@@ -86,6 +102,11 @@ class DoubleLabeled:
         n = self.automaton.n
         object.__setattr__(self, "sigma1", _check_sigma(self.sigma1, n))
         object.__setattr__(self, "sigma2", _check_sigma(self.sigma2, n))
+
+
+# one coordinate of a DoubleLabeled or DoubleMarked, whose fields are
+# already validated, as cycle_minima and branch_records read it
+_Coordinate = namedtuple("_Coordinate", "automaton mark sigma")
 
 
 @dataclass(frozen=True)
@@ -143,7 +164,7 @@ def cycle_minima(x, word):
     cycs = cycles(one_letter_view(A, word))
     mins = []
     for cyc in cycs:
-        v = min(cyc, key=lambda u: sigma[u])
+        v = min(cyc, key=sigma.__getitem__)
         mins.append((sigma[v], v, cyc))
     mins.sort(key=lambda m: -m[0])
     vertices = [m[1] for m in mins]
@@ -186,42 +207,86 @@ def _indexed(vertices):
     return out
 
 
-def _scan_collisions(A, walk_word, source_index, target_index, skip_zero, ihj, first_only):
-    """Arrivals of source threads on target vertices.
+def _scan_collisions(A, word, source_index, targets, first_only):
+    """Arrivals of the source threads, walked under word, on target vertices.
 
-    The start pair itself is not an arrival; with skip_zero the unavoidable
-    congruence-0 returns are ignored too.
+    targets lists (ihj, target index, skip_zero) in scan order. Each thread
+    is walked once for all of them, and the witnesses come out target by
+    target, then by source index, congruence and time. The start pair
+    itself is not an arrival; with skip_zero the unavoidable congruence-0
+    returns are ignored too.
+
+    With first_only only the first witness in that order is returned. A
+    target that can no longer supply it is no longer checked, and a thread
+    stops on a pair that an earlier thread left clean: that pair and all
+    pairs after it are no arrival on any target still checked.
     """
-    k = len(walk_word)
+    k = len(word)
     rows = A.rows
-    letters = walk_word.letters
-    out = []
+    letters = word.letters
+    marks = {}  # vertex -> [(target number, index in the target, skip_zero)]
+    for m, (_, index, skip_zero) in enumerate(targets):
+        for u, q in index.items():
+            marks.setdefault(u, []).append((m, q, skip_zero))
+    found = [[] for _ in targets]
+    live = len(targets)  # targets from number live on are no longer checked
+    clean = set()
+
+    def witness(m, p, q, v, r, s, time):
+        # re-walk the thread to the arrival for the path
+        path = [(v, r)]
+        u, c = v, r
+        for _ in range(time):
+            u = rows[letters[c]][u]
+            c = c + 1 if c + 1 < k else 0
+            path.append((u, c))
+        return CollisionWitness(targets[m][0], p, q, r, s, tuple(path))
+
     for v, p in sorted(source_index.items(), key=lambda kv: kv[1]):
         for r in range(k):
-            u, c = v, r
-            seen = {u * k + c}
-            path = [(u, c)]
+            start = v * k + r
+            if start in clean:
+                continue
+            own = {start}
+            u, c, time = v, r, 0
             while True:
                 u = rows[letters[c]][u]
                 c += 1
                 if c == k:
                     c = 0
                 key = u * k + c
-                if key in seen:
+                if key in own or key in clean:
                     break
-                seen.add(key)
-                path.append((u, c))
-                q = target_index.get(u)
-                if q is not None and not (skip_zero and c == 0):
-                    out.append(CollisionWitness(ihj, p, q, r, c, tuple(path)))
-                    if first_only:
-                        return out
-    return out
+                own.add(key)
+                time += 1
+                hits = marks.get(u)
+                if hits is None:
+                    continue
+                for m, q, skip_zero in hits:
+                    if m < live and not (skip_zero and c == 0):
+                        found[m].append((p, q, v, r, c, time))
+                        if first_only:
+                            if m == 0:
+                                return [witness(0, p, q, v, r, c, time)]
+                            live = m
+            if first_only:
+                # the start pair was never checked as an arrival: keep it out
+                # of clean, and the whole thread too if it closed on the start
+                # and the start is an arrival
+                if key != start:
+                    own.discard(start)
+                elif any(m < live and not (skip_zero and r == 0)
+                         for m, _, skip_zero in marks.get(v, ())):
+                    continue
+                clean |= own
+    if first_only:
+        return [witness(live, *found[live][0])] if live < len(targets) else []
+    return [witness(m, *hit) for m, hits in enumerate(found) for hit in hits]
 
 
 def cycle_collisions(x, word, first_only=False):
     idx = _indexed(cycle_minima(x, word).vertices)
-    return _scan_collisions(x.automaton, word, idx, idx, True, (1, 1, 1), first_only)
+    return _scan_collisions(x.automaton, word, idx, [((1, 1, 1), idx, True)], first_only)
 
 
 def is_cycle_good(x, word):
@@ -232,7 +297,7 @@ def is_cycle_good(x, word):
 
 def branch_collisions(y, word, first_only=False):
     idx = _indexed(branch_records(y, word).vertices)
-    return _scan_collisions(y.automaton, word, idx, idx, True, (1, 1, 1), first_only)
+    return _scan_collisions(y.automaton, word, idx, [((1, 1, 1), idx, True)], first_only)
 
 
 def is_branch_good(y, word):
@@ -275,22 +340,17 @@ def find_collisions(x, w1, w2, which, first_only=False):
     A = x.automaton
     words = {1: w1, 2: w2}
     if isinstance(x, DoubleLabeled):
-        coords = {1: Labeled(A, x.sigma1), 2: Labeled(A, x.sigma2)}
+        coords = {1: _Coordinate(A, None, x.sigma1), 2: _Coordinate(A, None, x.sigma2)}
         records = cycle_minima
     else:
-        coords = {
-            1: MarkedLabeled(A, x.mark1, x.sigma1),
-            2: MarkedLabeled(A, x.mark2, x.sigma2),
-        }
+        coords = {1: _Coordinate(A, x.mark1, x.sigma1), 2: _Coordinate(A, x.mark2, x.sigma2)}
         records = branch_records
     idx = {i: _indexed(records(coords[i], words[i]).vertices) for i in (1, 2)}
     out = []
-    for ihj in which:
-        i, h, j = ihj
-        hits = _scan_collisions(
-            A, words[h], idx[i], idx[j], j == h, (i, h, j), first_only
-        )
-        out.extend(hits)
+    # consecutive triples with the same source and word share one walk set
+    for (i, h), group in itertools.groupby(which, key=lambda ihj: ihj[:2]):
+        targets = [(ihj, idx[ihj[2]], ihj[2] == h) for ihj in group]
+        out.extend(_scan_collisions(A, words[h], idx[i], targets, first_only))
         if first_only and out:
             return out
     return out

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -100,6 +101,14 @@ def test_nc_word_counts():
                    ("".join(p) for p in itertools.product("ab", repeat=4))} - excluded
 
 
+def test_nc_word_count_formula_matches_enumeration():
+    for r in (2, 3):
+        for k in range(1, 13):
+            assert count_nc_words(k, r) == sum(1 for _ in enumerate_nc_words(k, r))
+    with pytest.raises(ValueError):
+        count_nc_words(0)
+
+
 def test_nc_lower_bound():
     # a_k is within k*2^(k/2) of 2^k
     for k in range(1, 17):
@@ -126,6 +135,21 @@ def test_automaton_validation():
         Automaton([[0, 1]])
 
 
+def test_rows_built_lazily_match_eager_rows():
+    for n, seed in ((1, 0), (7, 3), (40, 11)):
+        A = random_automaton(n, 3, seed=seed)
+        B = random_automaton(n, 3, seed=seed)
+        eager = tuple(tuple(int(x) for x in row) for row in A.delta)
+        # hashing and comparing read rows, so take the hash first
+        assert hash(A) == hash((n, 3, eager))
+        assert A.rows == eager and A.rows is A.rows
+        assert A == B and hash(A) == hash(B)
+        for fresh in (False, True):
+            C = pickle.loads(pickle.dumps(random_automaton(n, 3, seed=seed) if fresh else A))
+            assert C == A and hash(C) == hash(A) and C.rows == eager
+            assert np.array_equal(C.delta, A.delta) and not C.delta.flags.writeable
+
+
 def test_random_automaton_contract():
     one = random_automaton(1, 2, seed=9)
     assert one.rows == ((0,), (0,))
@@ -135,6 +159,11 @@ def test_random_automaton_contract():
         random_automaton(0, 2)
     with pytest.raises(ValueError):
         random_automaton(3, 1)
+    # a generator is drawn from in place, as rng.integers would draw
+    rng, ref = rng_from_seed(7), rng_from_seed(7)
+    assert random_automaton(5, 3, seed=rng) == Automaton(ref.integers(0, 5, size=(3, 5)))
+    assert rng.integers(1 << 30) == ref.integers(1 << 30)
+    assert random_automaton(5, 2, seed=rng_from_seed(42)) == random_automaton(5, 2, seed=42)
 
 
 def test_random_automaton_marginal_uniform():
@@ -293,10 +322,32 @@ def _maps(draw):
     return succ
 
 
+def _reference_cycles(F):
+    # the cycle lister before it tagged vertices with their walk's start
+    succ = F.succ.tolist()
+    state = [0] * F.n  # 0 fresh, 1 on the active path, 2 finished
+    out = []
+    for s in range(F.n):
+        if state[s]:
+            continue
+        path = []
+        v = s
+        while state[v] == 0:
+            state[v] = 1
+            path.append(v)
+            v = succ[v]
+        if state[v] == 1:
+            out.append(tuple(path[path.index(v):]))
+        for u in path:
+            state[u] = 2
+    return tuple(out)
+
+
 @settings(max_examples=300, deadline=None)
 @given(succ=_maps())
 def test_height_and_loop_root_match_cycle_references(succ):
     F = FunctionalGraph(succ)
+    assert cycles(F) == _reference_cycles(F)
     assert height(F) == _reference_height(F)
     pts = cyclic_points(F)
     assert loop_root(F.succ) == (min(pts) if len(pts) == 1 else None)

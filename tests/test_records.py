@@ -1,11 +1,16 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synchrotree.core import (
     Automaton,
     Word,
+    are_conjugate,
     cycles,
+    enumerate_nc_words,
     is_w_tree,
     one_letter_view,
     random_automaton,
@@ -18,6 +23,8 @@ from synchrotree.records import (
     ALL_TRIPLES,
     FIRST_THEN_SECOND,
     SECOND_THEN_FIRST,
+    CollisionWitness,
+    DoubleLabeled,
     DoubleMarked,
     Labeled,
     MarkedLabeled,
@@ -431,3 +438,109 @@ def test_labeling_validation():
         MarkedLabeled(A3, 3, ID3)
     with pytest.raises(ValueError):
         DoubleMarked(A3, 0, -1, ID3, ID3)
+
+
+def test_labelings_and_marks_must_be_integers():
+    # int() would truncate these to a valid labeling or mark
+    with pytest.raises(ValueError):
+        Labeled(A3, (0.9, 1.2, 2.5))
+    with pytest.raises(ValueError):
+        Labeled(A3, (0.0, 1.0, 2.0))
+    with pytest.raises(ValueError):
+        MarkedLabeled(A3, 1.5, ID3)
+    with pytest.raises(ValueError):
+        DoubleLabeled(A3, ID3, ("0", "1", "2"))
+    with pytest.raises(ValueError):
+        DoubleMarked(A3, 0, 1.0, ID3, ID3)
+    with pytest.raises(ValueError):
+        DoubleMarked(A3, 0, 0, ID3, (2, 1, 0.5))
+    # numpy integers are integers, and are stored as ints
+    y = MarkedLabeled(A3, np.int64(2), np.arange(3))
+    assert y.sigma == ID3 and y.mark == 2
+    assert type(y.mark) is int and all(type(v) is int for v in y.sigma)
+    assert random_labeling(3, rng_from_seed(0)) == tuple(
+        int(v) for v in rng_from_seed(0).permutation(3)
+    )
+
+
+def _reference_scan(A, walk_word, source_index, target_index, skip_zero, ihj, first_only):
+    # the collision scan with one walk set per (i, h, j) triple, each walk
+    # carrying its path; kept only as the reference for find_collisions
+    k = len(walk_word)
+    rows = A.rows
+    letters = walk_word.letters
+    out = []
+    for v, p in sorted(source_index.items(), key=lambda kv: kv[1]):
+        for r in range(k):
+            u, c = v, r
+            seen = {u * k + c}
+            path = [(u, c)]
+            while True:
+                u = rows[letters[c]][u]
+                c += 1
+                if c == k:
+                    c = 0
+                key = u * k + c
+                if key in seen:
+                    break
+                seen.add(key)
+                path.append((u, c))
+                q = target_index.get(u)
+                if q is not None and not (skip_zero and c == 0):
+                    out.append(CollisionWitness(ihj, p, q, r, c, tuple(path)))
+                    if first_only:
+                        return out
+    return out
+
+
+def _reference_find(x, w1, w2, which, first_only):
+    A = x.automaton
+    words = {1: w1, 2: w2}
+    if isinstance(x, DoubleLabeled):
+        coords = {1: Labeled(A, x.sigma1), 2: Labeled(A, x.sigma2)}
+        records = cycle_minima
+    else:
+        coords = {1: MarkedLabeled(A, x.mark1, x.sigma1), 2: MarkedLabeled(A, x.mark2, x.sigma2)}
+        records = branch_records
+    idx = {}
+    for i in (1, 2):
+        idx[i] = {}
+        for pos, v in enumerate(records(coords[i], words[i]).vertices):
+            idx[i].setdefault(v, pos + 1)
+    out = []
+    for ihj in which:
+        i, h, j = ihj
+        out.extend(_reference_scan(A, words[h], idx[i], idx[j], j == h, ihj, first_only))
+        if first_only and out:
+            return out
+    return out
+
+
+@st.composite
+def _double_configurations(draw):
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(3, 6))
+    delta = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                          min_size=2, max_size=2))
+    words = list(enumerate_nc_words(k))
+    w1 = draw(st.sampled_from(words))
+    w2 = draw(st.sampled_from([w for w in words if not are_conjugate(w, w1)]))
+    A = Automaton(delta)
+    s1 = draw(st.permutations(range(n)))
+    s2 = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        x = DoubleMarked(A, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), s1, s2)
+    else:
+        x = DoubleLabeled(A, s1, s2)
+    return x, w1, w2
+
+
+_WHICH = (ALL_TRIPLES, FIRST_THEN_SECOND, SECOND_THEN_FIRST) + tuple((t,) for t in ALL_TRIPLES)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_double_configurations(), which=st.sampled_from(_WHICH), first_only=st.booleans())
+def test_find_collisions_matches_reference_scan(case, which, first_only):
+    x, w1, w2 = case
+    got = find_collisions(x, w1, w2, which, first_only=first_only)
+    assert got == _reference_find(x, w1, w2, which, first_only)
