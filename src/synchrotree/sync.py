@@ -3,8 +3,11 @@ oracles to validate them.
 
 The fast route: find a word w whose one-letter view is a loop-rooted tree,
 measure its height H, and emit w^H, which drags every state into the root.
-The search only builds word maps; the tree test and the height come from
-core's functional-graph kernel, loop_root and height. The oracles: a
+A tree's one cycle is a fixed point, so the search first walks single
+states under batches of candidate words in lockstep, with Brent's cycle
+detection, and drops each word whose walk proves another cycle. Only the
+words left get a full map; the tree test and the height come from core's
+functional-graph kernel, loop_root and height. The oracles: a
 power-set BFS for exact shortest words on tiny automata, a pair-merging
 check for synchronizability, and a cubic greedy fallback (Eppstein 1990).
 The last two share one table of shortest merging words per state pair,
@@ -12,8 +15,8 @@ held in flat numpy arrays of size n*n.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -68,50 +71,155 @@ def is_synchronizing(A, word):
     return None
 
 
-def _trie_maps(A, k, allow_self_conjugate):
-    """(letters, map) for the words of length k in lexicographic order.
+_MAX_BATCH = 4096
+_STARTS = 16  # stage-2 start states per word
 
-    A depth-first walk of the word trie: each node's map is one gather of
-    its parent's, about r/(r-1) gathers per word. Self-conjugate words are
-    skipped at the leaves before their map is built.
+
+def _lex_letters(first, count, r, k):
+    """(count, k) letters of the words of index first, first+1, ... in
+    lexicographic order, an index being the word read as a base-r number.
+
+    The low digits are worked in int64. The high ones are the same for the
+    whole batch up to one carry, and are worked as Python ints, so r**k may
+    exceed int64.
     """
-    delta = A.delta
+    low = min(k, 40 // r.bit_length())  # r**low < 2**40
+    high, lo = divmod(first, r ** low)
+    idx = lo + np.arange(count, dtype=np.int64)
+    carry = idx // r ** low  # 0 or 1
+    digits = [idx // r ** i % r for i in range(low)]
+    digits += [np.where(carry, (high + 1) // r ** i % r, high // r ** i % r)
+               for i in range(k - low)]
+    return np.stack(digits[::-1], axis=1)
+
+
+def _self_conjugate_rows(letters):
+    """Which rows of a (B, k) letter array are powers of a shorter word."""
+    k = letters.shape[1]
+    out = np.zeros(letters.shape[0], dtype=bool)
+    for d in range(1, k):
+        if k % d == 0:
+            out |= (np.roll(letters, -d, axis=1) == letters).all(axis=1)
+    return out
+
+
+def _word_batches(A, k, budget, mode, seed, allow_self_conjugate):
+    """The words examined, in search order, as (B, k) letter arrays of
+    64, 128, ... up to _MAX_BATCH rows, stopping after budget words."""
     r = A.r
-    letters = [0] * k
-    maps = [np.arange(A.n, dtype=np.int64)] + [None] * (k - 1)
-    depth = 0  # maps[depth] is the map of letters[:depth]
-    while True:
-        while depth < k - 1:
-            maps[depth + 1] = delta[letters[depth]][maps[depth]]
-            depth += 1
-        head = tuple(letters[:-1])
-        for last in range(r):
-            word = head + (last,)
-            if allow_self_conjugate or not is_self_conjugate(word):
-                yield word, delta[last][maps[-1]]
-        i = k - 2
-        while i >= 0 and letters[i] == r - 1:
-            letters[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        letters[i] += 1
-        depth = i
-
-
-def _sampled_maps(A, k, seed, allow_self_conjugate):
-    # uniform draws without replacement, one word map of k gathers each;
-    # ends once every word of length k was drawn
+    total = r ** k
+    left = math.inf if budget is None else budget
+    size = 64
+    if mode == "exhaustive":
+        first = 0
+        while first < total and left > 0:
+            count = min(size, left, total - first)
+            letters = _lex_letters(first, count, r, k)
+            first += count
+            if not allow_self_conjugate:
+                letters = letters[~_self_conjugate_rows(letters)]
+            left -= len(letters)
+            size = min(2 * size, _MAX_BATCH)
+            if len(letters):
+                yield letters
+        return
+    # sampled: uniform draws without replacement, one draw per word; ends
+    # once every word of length k was drawn
     rng = rng_from_seed(seed)
     seen = set()
-    while len(seen) < A.r ** k:
-        letters = tuple(int(x) for x in rng.integers(0, A.r, size=k))
-        if letters in seen:
-            continue
-        seen.add(letters)
-        w = Word(letters)
-        if allow_self_conjugate or not is_self_conjugate(w):
-            yield letters, apply_word_all(A, w)
+    while len(seen) < total and left > 0:
+        batch = []
+        while len(batch) < min(size, left) and len(seen) < total:
+            letters = tuple(int(x) for x in rng.integers(0, r, size=k))
+            if letters in seen:
+                continue
+            seen.add(letters)
+            if allow_self_conjugate or not is_self_conjugate(letters):
+                batch.append(letters)
+        left -= len(batch)
+        size = min(2 * size, _MAX_BATCH)
+        if batch:
+            yield np.array(batch, dtype=np.int64)
+
+
+def _walk_ends(table, offs, x, target=None):
+    """Brent's cycle detection (BIT 20, 1980) on many walks in lockstep.
+
+    Walk i starts at x[i] and steps by table[offs[j, i] + state] for each
+    row j of offs, one word map per step. It ends when its tortoise and
+    hare meet, or when the hare reaches target[i]; finished walks are
+    compacted out. Returns (end, cycle): the hare's final state and the
+    length of the cycle found, which is exact when the walk ended on a
+    meeting. All walks start together, so the tortoise moves to the hare
+    at the same steps for all of them.
+    """
+    end = np.empty(x.size, dtype=np.int64)
+    cycle = np.empty(x.size, dtype=np.int64)
+    live = np.arange(x.size)
+    tort = x
+    hare = x
+    for o in offs:
+        hare = table[o + hare]
+    power = lam = 1
+    while live.size:
+        done = tort == hare
+        if target is not None:
+            done |= hare == target
+        if done.any():
+            ended = live[done]
+            end[ended] = hare[done]
+            cycle[ended] = lam
+            keep = ~done
+            live, tort, hare, offs = live[keep], tort[keep], hare[keep], offs[:, keep]
+            if target is not None:
+                target = target[keep]
+        if lam == power:
+            tort = hare
+            power *= 2
+            lam = 0
+        for o in offs:
+            hare = table[o + hare]
+        lam += 1
+    return end, cycle
+
+
+def _tree_words(A, k, batches):
+    """(word, height, root) for the tree words among the batches, in order.
+
+    One table holds the r*r two-letter maps and, after them, the r letters,
+    so a word map is ceil(k/2) gathers. A loop-rooted tree has one cycle, a
+    fixed point, so every rejection below is a proof. Stage 1 walks state 0
+    under every word and drops the words whose walk ends on a longer cycle;
+    stage 2 walks _STARTS spread states under each survivor and drops it
+    unless each walk reaches stage 1's fixed point. Only the words left get
+    a full map, tested by loop_root.
+    """
+    n, r = A.n, A.r
+    delta = A.delta
+    table = np.empty((r * r + r, n), dtype=np.int64)
+    for a in range(r):
+        table[a * r:(a + 1) * r] = delta[:, delta[a]]  # row a*r+b maps by ab
+    table[r * r:] = delta
+    table = table.ravel()
+    starts = np.unique(np.linspace(0, n - 1, _STARTS).astype(np.int64))
+    for letters in batches:
+        rows = [letters[:, j] * r + letters[:, j + 1] for j in range(0, k - 1, 2)]
+        if k % 2:
+            rows.append(r * r + letters[:, -1])
+        offs = np.array(rows) * n  # (ceil(k/2), batch size)
+        end, cycle = _walk_ends(table, offs, np.zeros(len(letters), dtype=np.int64))
+        fixed = np.flatnonzero(cycle == 1)
+        roots = np.repeat(end[fixed], starts.size)
+        end, _ = _walk_ends(table, np.repeat(offs[:, fixed], starts.size, axis=1),
+                            np.tile(starts, fixed.size), roots)
+        for i in fixed[(end == roots).reshape(-1, starts.size).all(axis=1)]:
+            maps = [table[o:o + n] for o in offs[:, i]]
+            f = maps[0]
+            for g in maps[1:]:
+                f = g[f]
+            root = loop_root(f)
+            if root is not None:
+                yield Word(letters[i].tolist()), height(FunctionalGraph(f)), root
 
 
 def iter_tree_words(A, k, budget=None, mode="exhaustive", seed=0,
@@ -120,29 +228,20 @@ def iter_tree_words(A, k, budget=None, mode="exhaustive", seed=0,
 
     Exhaustive mode scans non-self-conjugate words (all words with
     allow_self_conjugate) in lexicographic order; sampled mode draws them
-    uniformly without replacement. budget caps the number of words
-    examined. Yields (word, height, root) in search order.
+    uniformly without replacement. budget, a whole number, caps the number
+    of words examined. Yields (word, height, root) in search order.
     """
     if k < 1:
         raise ValueError("word length must be positive")
-    if mode == "exhaustive":
-        maps = _trie_maps(A, k, allow_self_conjugate)
-    elif mode == "sampled":
-        if budget is None:
-            raise ValueError("sampled mode needs a budget")
-        maps = _sampled_maps(A, k, seed, allow_self_conjugate)
-    else:
+    if mode not in ("exhaustive", "sampled"):
         raise ValueError("mode must be exhaustive or sampled")
-    if budget is not None:
-        maps = islice(maps, budget)
-    return _tree_words(maps)
-
-
-def _tree_words(maps):
-    for letters, f in maps:
-        root = loop_root(f)
-        if root is not None:
-            yield Word(letters), height(FunctionalGraph(f)), root
+    if budget is None:
+        if mode == "sampled":
+            raise ValueError("sampled mode needs a budget")
+    elif not isinstance(budget, numbers.Integral) or budget < 0:
+        raise ValueError("budget must be a whole number >= 0, got %r" % (budget,))
+    batches = _word_batches(A, k, budget, mode, seed, allow_self_conjugate)
+    return _tree_words(A, k, batches)
 
 
 def find_tree_word(A, k, budget=None, mode="exhaustive", seed=0,
@@ -156,6 +255,8 @@ def find_tree_word(A, k, budget=None, mode="exhaustive", seed=0,
 def pick_tree_length(n, epsilon=0.2):
     """Word length for the tree search: ceil((1+epsilon) log2 n), floored
     at 1 and capped at ceil(2 log2 n)."""
+    if not math.isfinite(epsilon):
+        raise ValueError("epsilon must be finite, got %r" % (epsilon,))
     k = math.ceil((1 + epsilon) * math.log2(n))
     return max(1, min(k, math.ceil(2 * math.log2(n))))
 

@@ -259,3 +259,11 @@ def test_missing_and_malformed_files(tmp_path, capsys):
         rc, out, err = _run(capsys, ["experiment", "goodness", "--config", str(cfg)])
         assert rc == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_sync_bad_search_arguments(tmp_path, capsys):
+    path = _write(tmp_path, "a.json", A3)
+    for flag, value in (("--epsilon", "inf"), ("--epsilon", "nan"), ("--budget", "-1")):
+        rc, out, err = _run(capsys, ["sync", "--in", path, flag, value])
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -15,12 +16,16 @@ from synchrotree import sync
 from synchrotree.cli import main
 from synchrotree.core import (
     Automaton,
+    FunctionalGraph,
     Word,
     apply_word_all,
     cyclic_points,
+    height,
     is_self_conjugate,
+    loop_root,
     one_letter_view,
     random_automaton,
+    rng_from_seed,
     trial_seed,
 )
 from synchrotree.lab import save_automaton
@@ -74,6 +79,12 @@ def test_find_tree_word_validation():
         find_tree_word(A3, 2, mode="sampled")
     with pytest.raises(ValueError):
         find_tree_word(A3, 2, mode="guess")
+    # budgets are whole numbers >= 0, checked before any word is examined
+    for budget in (-1, 2.5, "3"):
+        with pytest.raises(ValueError):
+            iter_tree_words(A3, 2, budget=budget)
+        with pytest.raises(ValueError):
+            iter_tree_words(A3, 2, budget=budget, mode="sampled")
 
 
 def test_find_tree_word_sampled():
@@ -96,8 +107,9 @@ def test_find_tree_word_self_conjugate_flag():
     assert find_tree_word(A, 2, allow_self_conjugate=True) == (Word("aa"), 1, 2)
 
 
-def _reference_tree_words(A, k, budget, allow_self_conjugate):
-    # lexicographic product order; a tree has one cyclic point, its root,
+def _reference_tree_words(A, k, allow_self_conjugate):
+    # every tree word of length k in lexicographic product order, with its
+    # rank among the words examined; a tree has one cyclic point, its root,
     # and its height is the least H for which H steps send every state there
     out = []
     examined = 0
@@ -105,8 +117,6 @@ def _reference_tree_words(A, k, budget, allow_self_conjugate):
         w = Word(letters)
         if not allow_self_conjugate and is_self_conjugate(w):
             continue
-        if budget is not None and examined >= budget:
-            break
         examined += 1
         F = one_letter_view(A, w)
         pts = cyclic_points(F)
@@ -117,8 +127,21 @@ def _reference_tree_words(A, k, budget, allow_self_conjugate):
             while any(v != root for v in images):
                 images = [int(F.succ[v]) for v in images]
                 H += 1
-            out.append((w, H, root))
+            out.append((examined - 1, (w, H, root)))
     return out
+
+
+def _reference_draws(r, k, seed, allow_self_conjugate):
+    # sampled mode's words: one draw of k letters per word from the seed's
+    # stream, repeats and (unless allowed) self-conjugate words skipped
+    rng = rng_from_seed(seed)
+    seen = set()
+    while len(seen) < r ** k:
+        letters = tuple(int(x) for x in rng.integers(0, r, size=k))
+        if letters not in seen:
+            seen.add(letters)
+            if allow_self_conjugate or not is_self_conjugate(letters):
+                yield Word(letters)
 
 
 @st.composite
@@ -141,32 +164,130 @@ def _cli_tree_words_all(A, k):
     return rc, json.loads(out.getvalue())
 
 
+@st.composite
+def _small_searches(draw):
+    # k up to 9 crosses the 64/128/256-word batch boundaries at r = 2; at
+    # r = 3 it stops at 6, since drawing all 3^9 words in sampled mode takes
+    # some 2*10^5 draws
+    A = draw(_small_automata())
+    return A, draw(st.integers(1, 9 if A.r == 2 else 6))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    A=_small_automata(),
-    k=st.integers(1, 6),
-    budget=st.one_of(st.none(), st.integers(0, 80)),
+    search=_small_searches(),
+    budget=st.one_of(st.none(), st.integers(0, 600)),
 )
-def test_iter_tree_words_matches_brute_force(A, k, budget):
+def test_iter_tree_words_matches_brute_force(search, budget):
+    # odd k ends on a single letter, and budgets cut batches
+    A, k = search
     for sc in (False, True):
-        expect = _reference_tree_words(A, k, budget, sc)
+        ranked = _reference_tree_words(A, k, sc)
+        everything = [hit for _, hit in ranked]
+        if not sc:
+            plain = everything
+        expect = [hit for i, hit in ranked if budget is None or i < budget]
         got = list(iter_tree_words(A, k, budget=budget, allow_self_conjugate=sc))
         assert got == expect
         assert find_tree_word(A, k, budget=budget, allow_self_conjugate=sc) == (
             expect[0] if expect else None
         )
         # sampled with a budget covering every word sees the same tree words
-        everything = _reference_tree_words(A, k, None, sc)
         sampled = iter_tree_words(A, k, budget=A.r ** k, mode="sampled",
                                   seed=k, allow_self_conjugate=sc)
         assert sorted(sampled, key=lambda t: t[0].letters) == everything
-    everything = _reference_tree_words(A, k, None, False)
+        # below that, the hits come in the order of the seed's draws
+        cut = min(600 if budget is None else budget, A.r ** k - 1)
+        trees = {w: (w, H, root) for w, H, root in everything}
+        drawn = islice(_reference_draws(A.r, k, k, sc), cut)
+        assert list(iter_tree_words(A, k, budget=cut, mode="sampled", seed=k,
+                                    allow_self_conjugate=sc)) == [
+            trees[w] for w in drawn if w in trees
+        ]
     rc, doc = _cli_tree_words_all(A, k)
-    assert rc == (0 if everything else 1)
+    assert rc == (0 if plain else 1)
     assert doc == {
         "k": k,
-        "words": [{"word": w.text, "H": h, "root": r} for w, h, r in everything],
+        "words": [{"word": w.text, "H": h, "root": r} for w, h, r in plain],
     }
+
+
+def test_lex_letters_match_base_r_indices():
+    # batches of the exhaustive search read as base-r numbers, also where
+    # the high digits carry and where r**k exceeds int64
+    for r, k, first in ((2, 9, 448), (3, 6, 700), (2, 24, 2**20 - 100),
+                        (3, 60, 2 * 3**59 + 3**20 - 7), (2, 100, 2**99 - 5)):
+        count = min(4096, r ** k - first)
+        letters = sync._lex_letters(first, count, r, k)
+        assert letters.shape == (count, k)
+        for i, row in enumerate(letters.tolist()):
+            assert int("".join(map(str, row)), r) == first + i
+
+
+def _reference_trie_maps(A, k, allow_self_conjugate):
+    # (letters, map) for the words of length k in lexicographic order, by a
+    # depth-first walk of the word trie: each node's map is one gather of
+    # its parent's; self-conjugate words are skipped at the leaves
+    delta = A.delta
+    r = A.r
+    letters = [0] * k
+    maps = [np.arange(A.n, dtype=np.int64)] + [None] * (k - 1)
+    depth = 0  # maps[depth] is the map of letters[:depth]
+    while True:
+        while depth < k - 1:
+            maps[depth + 1] = delta[letters[depth]][maps[depth]]
+            depth += 1
+        head = tuple(letters[:-1])
+        for last in range(r):
+            word = head + (last,)
+            if allow_self_conjugate or not is_self_conjugate(word):
+                yield word, delta[last][maps[-1]]
+        i = k - 2
+        while i >= 0 and letters[i] == r - 1:
+            letters[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        letters[i] += 1
+        depth = i
+
+
+def _reference_iter_tree_words(A, k, budget=None, mode="exhaustive", seed=0,
+                               allow_self_conjugate=False):
+    # the engine the batched rho walks replaced: every examined word gets
+    # its full map, from the trie walk or one map per sampled draw, and
+    # loop_root and height decide on it
+    if mode == "exhaustive":
+        maps = _reference_trie_maps(A, k, allow_self_conjugate)
+    else:
+        maps = ((w.letters, apply_word_all(A, w))
+                for w in _reference_draws(A.r, k, seed, allow_self_conjugate))
+    for letters, f in islice(maps, budget):
+        root = loop_root(f)
+        if root is not None:
+            yield Word(letters), height(FunctionalGraph(f)), root
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(50, 3000),
+    r=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32),
+    epsilon=st.sampled_from([0.2, 0.5, 1.0]),
+    budget=st.integers(0, 2000),
+    mode=st.sampled_from(["exhaustive", "sampled"]),
+    sc=st.booleans(),
+)
+def test_iter_tree_words_matches_reference_engine(n, r, seed, epsilon, budget,
+                                                  mode, sc):
+    # sizes where the rho walks of stages 1 and 2 really reject words
+    A = random_automaton(n, r, seed=seed)
+    k = pick_tree_length(n, epsilon)
+    got = iter_tree_words(A, k, budget=budget, mode=mode, seed=seed,
+                          allow_self_conjugate=sc)
+    expect = _reference_iter_tree_words(A, k, budget=budget, mode=mode,
+                                        seed=seed, allow_self_conjugate=sc)
+    assert list(islice(got, 8)) == list(islice(expect, 8))
 
 
 def test_pick_tree_length():
@@ -178,6 +299,9 @@ def test_pick_tree_length():
     for n in (2, 5, 64, 1000):
         k = pick_tree_length(n)
         assert 1 <= k <= math.ceil(2 * math.log2(n))
+    for epsilon in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            pick_tree_length(64, epsilon)
 
 
 def test_tree_sync_word_small():
