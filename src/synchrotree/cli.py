@@ -131,13 +131,10 @@ def _input_spec_from_json(payload, A):
     for item in payload["entries"]:
         try:
             if isinstance(item, dict):
-                entries.append(
-                    (int(item["state"]), int(item["congruence"]),
-                     parse_word(item["word"]))
-                )
+                x, r, w = item["state"], item["congruence"], item["word"]
             else:
                 x, r, w = item
-                entries.append((int(x), int(r), parse_word(w)))
+            entries.append((x, r, parse_word(w)))
         except (KeyError, TypeError, ValueError) as exc:
             raise _CliError("bad input spec entry %r: %s" % (item, exc))
     try:

@@ -10,9 +10,21 @@ automaton collects every traversed (state, letter) assignment, closing
 steps included, which keeps it independent of the input order.
 """
 
+import operator
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .core import format_word, thread
+
+
+def _as_int(x):
+    # bool is an int subclass, but true is no state or congruence
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError("entry state and congruence must be integers")
 
 
 @dataclass(frozen=True)
@@ -22,7 +34,7 @@ class InputSpec:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple((int(u), int(r), w) for u, r, w in self.entries)
+        entries = tuple((_as_int(u), _as_int(r), w) for u, r, w in self.entries)
         if not entries:
             raise ValueError("need at least one entry")
         k = len(entries[0][2])
@@ -199,30 +211,35 @@ def hit_counts(trace):
 
 
 def _adjacency(trace, t=None):
+    # one list entry per labeled slot, so len(out_adj[v]) is v's out-degree
     out_adj = {}
     in_adj = {}
-    for (src, letter), (dst, first) in trace.revealed.items():
-        if t is not None and first >= t:
-            continue
+    for (src, _), dst in trace.revealed_map(t).items():
         out_adj.setdefault(src, []).append(dst)
         in_adj.setdefault(dst, []).append(src)
     return out_adj, in_adj
 
 
-def _bfs(adj, u, radius):
+def _bfs(adj, u, radius=None):
+    """The vertices within the radius of u, or all it reaches when radius
+    is None, and levels[r - 1], the vertices first reached at radius r."""
     seen = {u}
+    levels = []
     frontier = [u]
-    for _ in range(radius):
-        if not frontier:
-            break
+    while frontier and (radius is None or len(levels) < radius):
         nxt = []
         for v in frontier:
             for w in adj.get(v, ()):
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
+        levels.append(nxt)
         frontier = nxt
-    return seen
+    return seen, levels
+
+
+def _ball_both(out_adj, in_adj, u, radius):
+    return _bfs(out_adj, u, radius)[0] | _bfs(in_adj, u, radius)[0]
 
 
 def ball(trace, u, radius, direction="both", t=None):
@@ -232,11 +249,11 @@ def ball(trace, u, radius, direction="both", t=None):
     """
     out_adj, in_adj = _adjacency(trace, t)
     if direction == "out":
-        return frozenset(_bfs(out_adj, u, radius))
+        return frozenset(_bfs(out_adj, u, radius)[0])
     if direction == "in":
-        return frozenset(_bfs(in_adj, u, radius))
+        return frozenset(_bfs(in_adj, u, radius)[0])
     if direction == "both":
-        return frozenset(_bfs(out_adj, u, radius) | _bfs(in_adj, u, radius))
+        return frozenset(_ball_both(out_adj, in_adj, u, radius))
     raise ValueError("direction must be in, out, or both")
 
 
@@ -296,51 +313,21 @@ def check_following_counts(trace):
     return True
 
 
-def check_ball_growth(trace, prefixes=None, sample_vertices=None):
-    """In- and out-balls grow at most like 2*l*(h_t + 1).
+def check_ball_growth(trace):
+    """In- and out-balls grow at most like 2*l*(h + 1).
 
-    Checks every revealed vertex at the final prefix and any extra given
-    prefixes, over radii 1..2k.
+    Checks every revealed vertex at the final prefix, over radii 1..2k.
     """
-    k = trace.k
-    hseq = hit_counts(trace)
-    times = [trace.final_time]
-    if prefixes:
-        times.extend(prefixes)
-    for t in sorted(set(times)):
-        h = hseq[t - 1] if t > 0 else 0
-        out_adj, in_adj = _adjacency(trace, t)
-        verts = set(out_adj) | set(in_adj)
-        if sample_vertices is not None:
-            verts &= set(sample_vertices)
-        for u in verts:
-            for adj in (out_adj, in_adj):
-                seen = {u}
-                frontier = [u]
-                for radius in range(1, 2 * k + 1):
-                    nxt = []
-                    for v in frontier:
-                        for w in adj.get(v, ()):
-                            if w not in seen:
-                                seen.add(w)
-                                nxt.append(w)
-                    frontier = nxt
-                    if len(seen) > 2 * radius * (h + 1):
-                        return False
-                    if not frontier:
-                        break
+    per_radius = 2 * (sum(trace.step_hits) + 1)
+    out_adj, in_adj = _adjacency(trace)
+    for u in out_adj.keys() | in_adj.keys():
+        for adj in (out_adj, in_adj):
+            size = 1
+            for r, level in enumerate(_bfs(adj, u, 2 * trace.k)[1], 1):
+                size += len(level)
+                if size > per_radius * r:
+                    return False
     return True
-
-
-def _labeled_degrees(trace, t=None):
-    out_deg = {}
-    in_deg = {}
-    for (src, letter), (dst, first) in trace.revealed.items():
-        if t is not None and first >= t:
-            continue
-        out_deg[src] = out_deg.get(src, 0) + 1
-        in_deg[dst] = in_deg.get(dst, 0) + 1
-    return out_deg, in_deg
 
 
 def _cycle_survivors(out_adj, in_adj):
@@ -403,23 +390,16 @@ def path_exception_count(trace, radius=None, t=None):
     """
     k = radius if radius is not None else trace.k
     out_adj, in_adj = _adjacency(trace, t)
-    out_deg, in_deg = _labeled_degrees(trace, t)
-    defects = {v for v, c in out_deg.items() if c >= 2}
-    defects |= {v for v, c in in_deg.items() if c >= 2}
+    defects = {v for v, ws in out_adj.items() if len(ws) >= 2}
+    defects |= {v for v, us in in_adj.items() if len(us) >= 2}
     defects |= _cycle_survivors(out_adj, in_adj)
-    candidates = set()
-    for v in defects:
-        candidates |= _bfs(out_adj, v, k)
-        candidates |= _bfs(in_adj, v, k)
-    edges = []
-    for (src, letter), (dst, first) in trace.revealed.items():
-        if t is not None and first >= t:
-            continue
-        edges.append((src, dst))
+    # the candidates are the defects' ball vertices; each ball is walked once
+    balls = {v: _ball_both(out_adj, in_adj, v, k) for v in defects}
+    for u in set().union(*balls.values()) - balls.keys():
+        balls[u] = _ball_both(out_adj, in_adj, u, k)
     count = 0
-    for u in candidates:
-        verts = _bfs(out_adj, u, k) | _bfs(in_adj, u, k)
-        induced = [(s, d) for s, d in edges if s in verts and d in verts]
+    for verts in balls.values():
+        induced = [(s, d) for s in verts for d in out_adj.get(s, ()) if d in verts]
         if not _is_directed_path(verts, induced):
             count += 1
     return count
@@ -504,6 +484,18 @@ def longest_following_run(trace):
     return best
 
 
+def _union_within(out_adj, in_adj, u, per_radius):
+    # the union of u's out- and in-ball holds at most per_radius * r
+    # vertices at every radius r
+    union = {u}
+    levels = zip_longest(_bfs(out_adj, u)[1], _bfs(in_adj, u)[1], fillvalue=())
+    for r, (out_level, in_level) in enumerate(levels, 1):
+        union.update(out_level, in_level)
+        if len(union) > per_radius * r:
+            return False
+    return True
+
+
 def check_typicality(trace, d=None, k=None, n=None):
     """Audit one trace against the typical-event bounds.
 
@@ -525,39 +517,12 @@ def check_typicality(trace, d=None, k=None, n=None):
     e_len = all(L <= t_max for L in lengths)
     hits = sum(trace.step_hits)
     e_hit = hits <= h_max
-    nverts = len({s for s, _ in trace.revealed} | {v for v, _ in trace.revealed.values()})
-    ball_checked = nverts > 4 * (h_max + 1)
-    if ball_checked:
-        out_adj, in_adj = _adjacency(trace)
-        e_ball = True
-        for u in set(out_adj) | set(in_adj):
-            seen_out = {u}
-            seen_in = {u}
-            fo, fi = [u], [u]
-            radius = 0
-            while fo or fi:
-                radius += 1
-                nxt = []
-                for v in fo:
-                    for w in out_adj.get(v, ()):
-                        if w not in seen_out:
-                            seen_out.add(w)
-                            nxt.append(w)
-                fo = nxt
-                nxt = []
-                for v in fi:
-                    for w in in_adj.get(v, ()):
-                        if w not in seen_in:
-                            seen_in.add(w)
-                            nxt.append(w)
-                fi = nxt
-                if len(seen_out | seen_in) > 4 * radius * (h_max + 1):
-                    e_ball = False
-                    break
-            if not e_ball:
-                break
-    else:
-        e_ball = True
+    out_adj, in_adj = _adjacency(trace)
+    verts = out_adj.keys() | in_adj.keys()
+    ball_checked = len(verts) > 4 * (h_max + 1)
+    e_ball = not ball_checked or all(
+        _union_within(out_adj, in_adj, u, 4 * (h_max + 1)) for u in verts
+    )
     path_bound = 10 * k * h_max * h_max
     if n <= path_bound:
         exceptions = None

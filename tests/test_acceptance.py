@@ -16,6 +16,7 @@ from synchrotree.core import (
     Automaton,
     Word,
     are_conjugate,
+    count_nc_words,
     is_w_tree,
     random_automaton,
     random_nc_word,
@@ -138,9 +139,11 @@ def _claim_trace(seed, n=None, k=None):
         k = int(rng.integers(2, 7))
     A = random_automaton(n, 2, seed=trial_seed(seed, 0))
     d = int(rng.integers(1, 5))
+    # d may exceed the conjugacy classes of nc words of length k
+    wanted = min(d, count_nc_words(k) // k)
     words = []
     guard = 0
-    while len(words) < d and guard < 300:
+    while len(words) < wanted and guard < 300:
         w = random_nc_word(k, 2, rng)
         if all(not are_conjugate(w, v) for v in words):
             words.append(w)

@@ -177,11 +177,16 @@ def test_explore_cli_bad_specs(tmp_path, capsys):
         [],
         {"entries": [[0, 0, "ab"], [0, 0, "aab"]]},
         {"entries": [{"state": 0}]},
+        {"entries": [[1.7, 0, "ab"]]},
+        {"entries": [[0, 1.0, "ab"]]},
+        {"entries": [{"state": True, "congruence": 1, "word": "ab"}]},
+        {"entries": [{"state": 1, "congruence": "1", "word": "ab"}]},
     ):
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps(payload))
         rc, _, err = _run(capsys, ["explore", "--in", path, "--spec", str(spec)])
-        assert rc == 2 and "error" in err
+        assert rc == 2
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_experiment_cli(tmp_path, capsys):

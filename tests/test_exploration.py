@@ -1,6 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synchrotree.core import (
     Automaton,
@@ -31,6 +34,7 @@ from synchrotree.exploration import (
     path_exception_count,
     thread_edge_runs,
 )
+from synchrotree.exploration import _cycle_survivors, _is_directed_path
 
 A3 = Automaton([[1, 2, 0], [0, 0, 0]])
 AB = Word("ab")
@@ -235,6 +239,21 @@ def test_typicality_flags_oversized_threads():
     assert not rep.typical
 
 
+def test_typicality_ball_and_path_branches():
+    # a is the cycle i -> i+1, b sends every state to 0
+    n = 900
+    A = Automaton([[(i + 1) % n for i in range(n)], [0] * n])
+    # 599 entries point into 0, whose in-ball at radius 1 passes 404
+    tr = explore(A, InputSpec(tuple((u, 0, Word("ba")) for u in range(599))))
+    rep = check_typicality(tr, d=1, k=1)
+    assert rep.ball_checked and not rep.e_ball
+    # one thread around the whole cycle: every ball is a short path
+    tr = explore(A, InputSpec(((0, 0, Word("a")),)))
+    rep = check_typicality(tr, d=1, k=1, n=10 ** 7)
+    assert rep.ball_checked and rep.e_ball
+    assert rep.path_exceptions == 0 and rep.e_path
+
+
 def test_input_spec_validation():
     with pytest.raises(ValueError):
         InputSpec(())
@@ -242,6 +261,10 @@ def test_input_spec_validation():
         InputSpec(((0, 0, Word("ab")), (0, 0, Word("aab"))))
     with pytest.raises(ValueError):
         InputSpec(((0, 2, Word("ab")),))
+    for u, r in ((0.9, 1.2), (0, 1.0), ("1", 0), (True, 0), (0, False)):
+        with pytest.raises(ValueError):
+            InputSpec(((u, r, Word("ab")),))
+    assert InputSpec(((np.int64(1), 1, Word("ab")),)).entries == ((1, 1, Word("ab")),)
     spec = InputSpec(((5, 0, Word("ab")),))
     with pytest.raises(ValueError):
         explore(A3, spec)
@@ -260,3 +283,162 @@ def test_dump_lines_wide_alphabet():
     tr = explore(A, InputSpec(((0, 0, Word((0, 2))),)))
     lines = dump_lines(tr)
     assert all(line["z"] == "0,2" for line in lines)
+
+
+# The revealed-graph walks as they stood before one BFS served them all,
+# kept as the reference the property test below compares against.
+
+
+def _reference_adjacency(trace, t=None):
+    out_adj = {}
+    in_adj = {}
+    for (src, letter), (dst, first) in trace.revealed.items():
+        if t is not None and first >= t:
+            continue
+        out_adj.setdefault(src, []).append(dst)
+        in_adj.setdefault(dst, []).append(src)
+    return out_adj, in_adj
+
+
+def _reference_bfs(adj, u, radius):
+    seen = {u}
+    frontier = [u]
+    for _ in range(radius):
+        if not frontier:
+            break
+        nxt = []
+        for v in frontier:
+            for w in adj.get(v, ()):
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
+def _reference_ball(trace, u, radius, direction, t=None):
+    out_adj, in_adj = _reference_adjacency(trace, t)
+    if direction == "out":
+        return frozenset(_reference_bfs(out_adj, u, radius))
+    if direction == "in":
+        return frozenset(_reference_bfs(in_adj, u, radius))
+    return frozenset(_reference_bfs(out_adj, u, radius) | _reference_bfs(in_adj, u, radius))
+
+
+def _reference_check_ball_growth(trace):
+    k = trace.k
+    hseq = hit_counts(trace)
+    t = trace.final_time
+    h = hseq[t - 1] if t > 0 else 0
+    out_adj, in_adj = _reference_adjacency(trace, t)
+    for u in set(out_adj) | set(in_adj):
+        for adj in (out_adj, in_adj):
+            seen = {u}
+            frontier = [u]
+            for radius in range(1, 2 * k + 1):
+                nxt = []
+                for v in frontier:
+                    for w in adj.get(v, ()):
+                        if w not in seen:
+                            seen.add(w)
+                            nxt.append(w)
+                frontier = nxt
+                if len(seen) > 2 * radius * (h + 1):
+                    return False
+                if not frontier:
+                    break
+    return True
+
+
+def _reference_labeled_degrees(trace, t=None):
+    out_deg = {}
+    in_deg = {}
+    for (src, letter), (dst, first) in trace.revealed.items():
+        if t is not None and first >= t:
+            continue
+        out_deg[src] = out_deg.get(src, 0) + 1
+        in_deg[dst] = in_deg.get(dst, 0) + 1
+    return out_deg, in_deg
+
+
+def _reference_path_exception_count(trace, radius=None, t=None):
+    k = radius if radius is not None else trace.k
+    out_adj, in_adj = _reference_adjacency(trace, t)
+    out_deg, in_deg = _reference_labeled_degrees(trace, t)
+    defects = {v for v, c in out_deg.items() if c >= 2}
+    defects |= {v for v, c in in_deg.items() if c >= 2}
+    defects |= _cycle_survivors(out_adj, in_adj)
+    candidates = set()
+    for v in defects:
+        candidates |= _reference_bfs(out_adj, v, k)
+        candidates |= _reference_bfs(in_adj, v, k)
+    edges = []
+    for (src, letter), (dst, first) in trace.revealed.items():
+        if t is not None and first >= t:
+            continue
+        edges.append((src, dst))
+    count = 0
+    for u in candidates:
+        verts = _reference_bfs(out_adj, u, k) | _reference_bfs(in_adj, u, k)
+        induced = [(s, d) for s, d in edges if s in verts and d in verts]
+        if not _is_directed_path(verts, induced):
+            count += 1
+    return count
+
+
+def _reference_typicality_ball(trace, h_max):
+    # (ball_checked, e_ball) as check_typicality decided them
+    nverts = len({s for s, _ in trace.revealed} | {v for v, _ in trace.revealed.values()})
+    if nverts <= 4 * (h_max + 1):
+        return False, True
+    out_adj, in_adj = _reference_adjacency(trace)
+    for u in set(out_adj) | set(in_adj):
+        seen_out = {u}
+        seen_in = {u}
+        fo, fi = [u], [u]
+        radius = 0
+        while fo or fi:
+            radius += 1
+            nxt = []
+            for v in fo:
+                for w in out_adj.get(v, ()):
+                    if w not in seen_out:
+                        seen_out.add(w)
+                        nxt.append(w)
+            fo = nxt
+            nxt = []
+            for v in fi:
+                for w in in_adj.get(v, ()):
+                    if w not in seen_in:
+                        seen_in.add(w)
+                        nxt.append(w)
+            fi = nxt
+            if len(seen_out | seen_in) > 4 * radius * (h_max + 1):
+                return True, False
+    return True, True
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(15, 200),
+       k=st.integers(2, 6), d=st.integers(1, 4), data=st.data())
+def test_revealed_graph_walks_match_reference(seed, n, k, d, data):
+    rng = rng_from_seed(seed)
+    A = random_automaton(n, 2, seed=seed)
+    words = _nc_word_set(k, d, rng)
+    entries = tuple((int(rng.integers(n)), int(rng.integers(k)), w) for w in words)
+    tr = explore(A, InputSpec(entries))
+    t = data.draw(st.one_of(st.none(), st.integers(0, tr.final_time)), label="t")
+    radius = data.draw(st.integers(0, 2 * k + 1), label="radius")
+    u = data.draw(st.integers(0, n - 1), label="u")
+    for direction in ("in", "out", "both"):
+        assert ball(tr, u, radius, direction, t) == _reference_ball(tr, u, radius, direction, t)
+    assert path_exception_count(tr, radius, t) == _reference_path_exception_count(tr, radius, t)
+    assert path_exception_count(tr, t=t) == _reference_path_exception_count(tr, t=t)
+    assert check_ball_growth(tr) == _reference_check_ball_growth(tr)
+    rep = check_typicality(tr, 1, 1, 10 ** 7)
+    assert (rep.ball_checked, rep.e_ball) == _reference_typicality_ball(tr, 100)
+    assert rep.path_exceptions == _reference_path_exception_count(tr)
+    assert rep.e_path == (rep.path_exceptions <= 10 ** 5)
+    # d = 0 drops h_max to 0, so the ball loop runs on these small traces
+    rep = check_typicality(tr, 0, 1, 10 ** 7)
+    assert (rep.ball_checked, rep.e_ball) == _reference_typicality_ball(tr, 0)
