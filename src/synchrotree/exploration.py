@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .core import format_word, thread
+from .core import Word, format_word, thread
 
 
 def _as_int(x):
@@ -39,6 +39,8 @@ class InputSpec:
             raise ValueError("need at least one entry")
         k = len(entries[0][2])
         for u, r, w in entries:
+            if not isinstance(w, Word):
+                raise ValueError("entry words must be Word objects")
             if len(w) != k:
                 raise ValueError("all words must have the same length")
             if not 0 <= r < k:

@@ -133,9 +133,9 @@ def unfold_pair(x, w1, w2, order=(1, 2), check=True):
     """Unfold both coordinates of a doubly-marked configuration, first the
     named one; legal when the corresponding collision triples are empty.
 
-    With check, asserts afterwards that the coordinate unfolded second kept
+    With check, verifies afterwards that the coordinate unfolded second kept
     its records: its branch records on the input equal its cycle minima on
-    the output.
+    the output, or RuntimeError is raised.
     """
     order = tuple(order)
     if order not in ((1, 2), (2, 1)):
@@ -170,5 +170,5 @@ def unfold_pair(x, w1, w2, order=(1, 2), check=True):
     if check:
         after = cycle_minima(Labeled(out.automaton, sigmas[second]), words[second])
         if before.count != after.count or before.vertices != after.vertices:
-            raise AssertionError("second coordinate records drifted while unfolding")
+            raise RuntimeError("second coordinate records drifted while unfolding")
     return out, (plan_a, plan_b)

@@ -30,6 +30,7 @@ from .core import (
     random_automaton,
     random_nc_word,
     rng_from_seed,
+    thread,
     trial_seed,
 )
 from .records import (
@@ -39,6 +40,7 @@ from .records import (
     Labeled,
     MarkedLabeled,
     find_collisions,
+    is_branch_good,
     is_cycle_good,
     is_good_marked_tree,
     random_labeling,
@@ -465,8 +467,15 @@ def _all_automata(n, r=2):
 
 def _audit_pair(A, sigmas, w):
     """Round trips in both directions for one automaton and word; returns
-    (cycle_good, good_trees, round_trips, failures)."""
+    (cycle_good, good_trees, round_trips, failures).
+
+    Each predicate runs once per input: a fold of a proven cycle-good x and
+    an unfold of a proven good marked tree skip their own entry checks, and
+    the mark's closing congruence is found once for all labelings. The fold
+    after an unfold keeps its check, since nothing has shown x cycle-good.
+    """
     n = A.n
+    k = len(w)
     cgood = bgood = trips = fails = 0
     for sigma in sigmas:
         x = Labeled(A, sigma)
@@ -475,22 +484,24 @@ def _audit_pair(A, sigmas, w):
         cgood += 1
         trips += 1
         try:
-            y, _ = fold_cycles(x, w)
-            back, _ = unfold_branch(y, w)
-            if back != x or not is_good_marked_tree(y, w):
+            y, _ = fold_cycles(x, w, check=False)
+            if (not is_good_marked_tree(y, w)
+                    or unfold_branch(y, w, check=False)[0] != x):
                 fails += 1
         except ValueError:
             fails += 1
     if is_w_tree(A, w):
         for mark in range(n):
+            if thread(A, mark, 0, w).cut_time % k != 0:
+                continue
             for sigma in sigmas:
                 y = MarkedLabeled(A, mark, sigma)
-                if not is_good_marked_tree(y, w):
+                if not is_branch_good(y, w):
                     continue
                 bgood += 1
                 trips += 1
                 try:
-                    x, _ = unfold_branch(y, w)
+                    x, _ = unfold_branch(y, w, check=False)
                     forward, _ = fold_cycles(x, w)
                     if forward != y:
                         fails += 1
@@ -503,36 +514,33 @@ def _commutation_audit(n, w1, w2):
     """Unfold in both orders on every collision-free doubly marked pair of
     trees; the results must coincide.
 
-    At n = 3 under aab and abb every doubly marked pair of good trees
-    collides, so the audit checks no pair: commute_checked is 0 and
-    commute_failures == 0 holds vacuously. The pair property test in
-    tests/test_joyal.py checks commutation on collision-free pairs at
-    n = 1000-3000, where they are no longer rare.
+    The good marked trees under each word are listed once per automaton,
+    and every pair of them is scanned for collisions. At n = 3 under aab
+    and abb every such pair collides, so the audit checks no pair:
+    commute_checked is 0 and commute_failures == 0 holds vacuously. The
+    pair property test in tests/test_joyal.py checks commutation on
+    collision-free pairs at n = 1000-3000, where they are no longer rare.
     """
     checked = failures = 0
     sigmas = list(permutations(range(n)))
     for A in _all_automata(n):
         if not (is_w_tree(A, w1) and is_w_tree(A, w2)):
             continue
-        for v1 in range(n):
-            for sigma1 in sigmas:
-                if not is_good_marked_tree(MarkedLabeled(A, v1, sigma1), w1):
+        good1, good2 = (
+            [(v, sigma) for v in range(n) for sigma in sigmas
+             if is_good_marked_tree(MarkedLabeled(A, v, sigma), w)]
+            for w in (w1, w2)
+        )
+        for v1, sigma1 in good1:
+            for v2, sigma2 in good2:
+                x = DoubleMarked(A, v1, v2, sigma1, sigma2)
+                if find_collisions(x, w1, w2, ALL_TRIPLES, first_only=True):
                     continue
-                for v2 in range(n):
-                    for sigma2 in sigmas:
-                        if not is_good_marked_tree(
-                            MarkedLabeled(A, v2, sigma2), w2
-                        ):
-                            continue
-                        x = DoubleMarked(A, v1, v2, sigma1, sigma2)
-                        if find_collisions(x, w1, w2, ALL_TRIPLES,
-                                           first_only=True):
-                            continue
-                        y12, _ = unfold_pair(x, w1, w2, order=(1, 2))
-                        y21, _ = unfold_pair(x, w1, w2, order=(2, 1))
-                        checked += 1
-                        if y12 != y21:
-                            failures += 1
+                y12, _ = unfold_pair(x, w1, w2, order=(1, 2))
+                y21, _ = unfold_pair(x, w1, w2, order=(2, 1))
+                checked += 1
+                if y12 != y21:
+                    failures += 1
     return checked, failures
 
 

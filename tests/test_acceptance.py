@@ -67,6 +67,18 @@ def test_criterion_01_exhaustive_bijection_audit(audit33):
     assert agg["cardinalities_match"] is True
     assert agg["commute_failures"] == 0
     assert agg["total_round_trips"] == 31096
+    assert audit33.rows == (
+        (2, 1, "a", 32, 32, 64, 0), (2, 1, "b", 32, 32, 64, 0),
+        (2, 2, "ab", 12, 12, 24, 0), (2, 2, "ba", 12, 12, 24, 0),
+        (2, 3, "aab", 8, 8, 16, 0), (2, 3, "aba", 0, 0, 0, 0),
+        (2, 3, "abb", 0, 0, 0, 0), (2, 3, "baa", 0, 0, 0, 0),
+        (2, 3, "bab", 0, 0, 0, 0), (2, 3, "bba", 8, 8, 16, 0),
+        (3, 1, "a", 4374, 4374, 8748, 0), (3, 1, "b", 4374, 4374, 8748, 0),
+        (3, 2, "ab", 1620, 1620, 3240, 0), (3, 2, "ba", 1620, 1620, 3240, 0),
+        (3, 3, "aab", 1332, 1332, 2664, 0), (3, 3, "aba", 252, 252, 504, 0),
+        (3, 3, "abb", 144, 144, 288, 0), (3, 3, "baa", 144, 144, 288, 0),
+        (3, 3, "bab", 252, 252, 504, 0), (3, 3, "bba", 1332, 1332, 2664, 0),
+    )
 
 
 def test_criterion_02_tree_counts_match_cayley():

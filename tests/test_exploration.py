@@ -270,6 +270,9 @@ def test_input_spec_validation():
         explore(A3, spec)
     with pytest.raises(ValueError):
         explore(A3, InputSpec(((0, 0, Word((0, 2))),)))
+    for word in ("ab", (0, 1)):
+        with pytest.raises(ValueError, match="Word"):
+            explore(A3, InputSpec(((0, 0, word),)))
 
 
 def test_spec_properties():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -232,6 +233,30 @@ def test_pair_unfold_frozen_round_trip():
         assert out12.automaton.rows == A.rows
         assert out12.sigma1 == s1 and out12.sigma2 == s2
         assert len(plans12) == 2 and len(plans21) == 2
+
+
+def test_pair_unfold_checks_drift_without_assert(monkeypatch):
+    # the records-kept check must raise, also under -O
+    seed = 9565
+    A = random_automaton(40, 2, seed=seed)
+    rng = rng_from_seed(seed ^ 0xABCDEF)
+    s1 = random_labeling(40, rng)
+    s2 = random_labeling(40, rng)
+    y1, _ = fold_cycles(Labeled(A, s1), W1)
+    y2, _ = fold_cycles(Labeled(y1.automaton, s2), W2)
+    x = DoubleMarked(y2.automaton, y1.mark, y2.mark, s1, s2)
+    real_minima = joyal.cycle_minima
+
+    def drifted(x, word):
+        rs = real_minima(x, word)
+        return dataclasses.replace(rs, count=rs.count + 1)
+
+    monkeypatch.setattr(joyal, "cycle_minima", drifted)
+    for order in ((1, 2), (2, 1)):
+        with pytest.raises(RuntimeError, match="drifted"):
+            unfold_pair(x, W1, W2, order=order)
+    out, _ = unfold_pair(x, W1, W2, check=False)
+    assert out.automaton.rows == A.rows
 
 
 @st.composite

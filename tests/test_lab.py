@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from synchrotree.core import (
     Automaton,
     Word,
     count_nc_words,
+    enumerate_nc_words,
     is_w_tree,
     random_automaton,
     rng_from_seed,
@@ -32,10 +34,13 @@ from synchrotree.lab import (
     run,
     save_automaton,
 )
+from synchrotree.joyal import fold_cycles, unfold_branch
 from synchrotree.records import (
     Labeled,
+    MarkedLabeled,
     has_minima_collision,
     is_cycle_good,
+    is_good_marked_tree,
     random_labeling,
 )
 from synchrotree.sync import SyncCertificate
@@ -327,6 +332,72 @@ def test_bijection_audit_small():
         assert row[6] == 0
     with pytest.raises(ValueError, match="capped"):
         exp_bijection_audit(4, 2)
+
+
+def _reference_audit_pair(A, sigmas, w):
+    # the audit loop before each predicate ran once: every fold and unfold
+    # repeats its own entry checks
+    n = A.n
+    cgood = bgood = trips = fails = 0
+    for sigma in sigmas:
+        x = Labeled(A, sigma)
+        if not is_cycle_good(x, w):
+            continue
+        cgood += 1
+        trips += 1
+        try:
+            y, _ = fold_cycles(x, w)
+            back, _ = unfold_branch(y, w)
+            if back != x or not is_good_marked_tree(y, w):
+                fails += 1
+        except ValueError:
+            fails += 1
+    if is_w_tree(A, w):
+        for mark in range(n):
+            for sigma in sigmas:
+                y = MarkedLabeled(A, mark, sigma)
+                if not is_good_marked_tree(y, w):
+                    continue
+                bgood += 1
+                trips += 1
+                try:
+                    x, _ = unfold_branch(y, w)
+                    forward, _ = fold_cycles(x, w)
+                    if forward != y:
+                        fails += 1
+                except ValueError:
+                    fails += 1
+    return cgood, bgood, trips, fails
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 4), k=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_audit_pair_matches_reference(data, n, k, seed):
+    A = random_automaton(n, seed=seed)
+    w = data.draw(st.sampled_from(list(enumerate_nc_words(k))))
+    sigmas = list(permutations(range(n)))
+    assert lab._audit_pair(A, sigmas, w) == _reference_audit_pair(A, sigmas, w)
+
+
+def test_audit_catches_a_broken_bijection(monkeypatch):
+    # the audit must compare what it round-trips, not only run it
+    real_unfold, real_fold = lab.unfold_branch, lab.fold_cycles
+
+    def relabeled_unfold(y, w, **kw):
+        x, plan = real_unfold(y, w, **kw)
+        return Labeled(x.automaton, x.sigma[1:] + x.sigma[:1]), plan
+
+    def shifted_fold(x, w, **kw):
+        y, plan = real_fold(x, w, **kw)
+        return MarkedLabeled(y.automaton, (y.mark + 1) % y.automaton.n, y.sigma), plan
+
+    for name, broken in (("unfold_branch", relabeled_unfold),
+                         ("fold_cycles", shifted_fold)):
+        with monkeypatch.context() as m:
+            m.setattr(lab, name, broken)
+            agg = exp_bijection_audit(2, 2).aggregates
+        assert agg["total_failures"] == agg["total_round_trips"] == 176
 
 
 def test_save_load_automaton(tmp_path):

@@ -462,6 +462,37 @@ def test_pair_tables_and_greedy_match_dict_reference(A):
     assert got == _reference_greedy(A)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 10), r=st.integers(2, 3))
+def test_certificates_reset_to_their_sink(data, n, r):
+    A = Automaton(data.draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+        min_size=r, max_size=r)))
+
+    def sink_of(word):
+        images = set(apply_word_all(A, word).tolist())
+        return images.pop() if len(images) == 1 else None
+
+    synchronizable = is_synchronizable(A)
+    greedy = greedy_fallback(A)
+    exact = shortest_sync_word_exact(A)
+    assert (greedy is not None) == (exact is not None) == synchronizable
+    certs = [greedy]
+    if n >= 2:
+        certs.append(tree_sync_word(
+            A, budget=data.draw(st.integers(0, 100)),
+            mode=data.draw(st.sampled_from(["exhaustive", "sampled"])),
+            seed=data.draw(st.integers(0, 2**32 - 1)),
+        ))
+    for cert in certs:
+        if cert is not None:
+            assert cert.verified
+            assert sink_of(cert.word) == cert.sink
+    if exact is not None:
+        assert sink_of(exact) is not None
+        assert len(exact) <= len(greedy.word)
+
+
 def test_greedy_against_exact():
     """The greedy word resets whenever the exact search proves a reset
     exists, and can never be shorter than the optimum."""
