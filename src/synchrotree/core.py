@@ -7,6 +7,7 @@ reads it left to right: the image of u under "ab" is b(a(u)).
 
 import functools
 import itertools
+import operator
 import re
 import string
 
@@ -56,6 +57,17 @@ def _text_to_letters(text):
     raise ValueError("unreadable word text %r" % text)
 
 
+def as_index(x, what):
+    """x as an int, for ints and numpy integers; ValueError naming what
+    otherwise. bool is an int subclass, but true is no letter or state."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError("%s must be integers" % what)
+
+
 class Word:
     """An immutable sequence of letter indices, at least one letter long."""
 
@@ -64,7 +76,7 @@ class Word:
     def __init__(self, letters):
         if isinstance(letters, str):
             letters = _text_to_letters(letters)
-        letters = tuple(int(l) for l in letters)
+        letters = tuple(as_index(l, "letter indices") for l in letters)
         if not letters:
             raise ValueError("a word needs at least one letter")
         if any(l < 0 for l in letters):
@@ -253,11 +265,12 @@ def automaton_from_json(doc):
         raise SchemaError("automaton document must be a JSON object")
     if doc.get("format") != FORMAT_TAG:
         raise SchemaError("format: expected %r" % FORMAT_TAG)
+    # type(x) is int, because JSON true/false load as bool, an int subclass
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise SchemaError("n: expected a positive integer")
     r = doc.get("alphabet")
-    if not isinstance(r, int) or r < 2:
+    if type(r) is not int or r < 2:
         raise SchemaError("alphabet: expected an integer of at least 2")
     delta = doc.get("delta")
     if not isinstance(delta, list) or len(delta) != r:
@@ -265,10 +278,15 @@ def automaton_from_json(doc):
     for i, row in enumerate(delta):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError("delta[%d]: expected %d entries" % (i, n))
-        for j, x in enumerate(row):
-            if not isinstance(x, int) or not 0 <= x < n:
-                raise SchemaError("delta[%d][%d]: state out of range" % (i, j))
-    return Automaton(delta)
+        if set(map(type, row)) != {int}:
+            j = next(j for j, x in enumerate(row) if type(x) is not int)
+            raise SchemaError("delta[%d][%d]: expected an integer state" % (i, j))
+    try:
+        return Automaton(delta)  # its range check is the only one left to fail
+    except (ValueError, OverflowError):
+        i, j = next((i, j) for i, row in enumerate(delta)
+                    for j, x in enumerate(row) if not 0 <= x < n)
+        raise SchemaError("delta[%d][%d]: state out of range" % (i, j)) from None
 
 
 def random_automaton(n, r=2, seed=0):

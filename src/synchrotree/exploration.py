@@ -10,21 +10,10 @@ automaton collects every traversed (state, letter) assignment, closing
 steps included, which keeps it independent of the input order.
 """
 
-import operator
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .core import Word, format_word, thread
-
-
-def _as_int(x):
-    # bool is an int subclass, but true is no state or congruence
-    if not isinstance(x, bool):
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise ValueError("entry state and congruence must be integers")
+from .core import Word, as_index, format_word, thread
 
 
 @dataclass(frozen=True)
@@ -34,7 +23,9 @@ class InputSpec:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple((_as_int(u), _as_int(r), w) for u, r, w in self.entries)
+        what = "entry state and congruence"
+        entries = tuple((as_index(u, what), as_index(r, what), w)
+                        for u, r, w in self.entries)
         if not entries:
             raise ValueError("need at least one entry")
         k = len(entries[0][2])

@@ -295,37 +295,45 @@ def _pair_merge_tables(A):
     shortest merging word. BFS runs backward from the diagonal over
     preimages one level at a time. Each level lists its candidates in
     FIFO order (parent's queue position, letter, preimage pair) and keeps
-    each pair's first discoverer, so the tables match a plain FIFO queue.
+    each pair's first discoverer, found with no sort by a scatter-min of
+    candidate positions, so the tables match a plain FIFO queue.
     """
     n, r = A.n, A.r
-    delta = A.delta
-    pre = np.argsort(delta, axis=1, kind="stable")  # states by image, then by state
-    cnt = np.stack([np.bincount(row, minlength=n) for row in delta])
-    first = np.cumsum(cnt, axis=1) - cnt
+    # block s*r + l lists the preimages of state s under letter l, ascending
+    into = (A.delta * r + np.arange(r)[:, None]).ravel()
+    pre = np.argsort(into, kind="stable") % n
+    cnt = np.bincount(into, minlength=n * r)
+    first = np.cumsum(cnt) - cnt
     dist = np.full(n * n, -1, dtype=np.int32)
     step = np.full(n * n, -1, dtype=np.int32)
+    unseen = np.iinfo(np.int32).max
+    seen = np.full(n * n, unseen, dtype=np.int32)
     level = np.arange(n, dtype=np.int64) * (n + 1)
     dist[level] = 0
     d = 0
     while level.size:
         p, q = np.divmod(level, n)
-        a = cnt[:, p].T.ravel()  # one block per (queue position, letter)
-        b = cnt[:, q].T.ravel()
-        size = a * b
+        bp = (p[:, None] * r + np.arange(r)).ravel()  # one block per (queue position, letter)
+        bq = (q[:, None] * r + np.arange(r)).ravel()
+        size = cnt[bp] * cnt[bq]
+        keep = np.flatnonzero(size)
+        bp, bq, size = bp[keep], bq[keep], size[keep]
         blk = np.repeat(np.arange(size.size), size)
         off = np.arange(blk.size) - np.repeat(np.cumsum(size) - size, size)
-        l = blk % r
-        pp = pre[l, first[:, p].T.ravel()[blk] + off // b[blk]]
-        qq = pre[l, first[:, q].T.ravel()[blk] + off % b[blk]]
+        i, j = np.divmod(off, cnt[bq][blk])
+        pp = pre[first[bp][blk] + i]
+        qq = pre[first[bq][blk] + j]
         key = np.minimum(pp, qq) * n + np.maximum(pp, qq)
-        fresh = dist[key] < 0
-        key, l = key[fresh], l[fresh]
-        _, found = np.unique(key, return_index=True)
-        found.sort()
+        fresh = np.flatnonzero(dist[key] < 0)
+        key = key[fresh]
+        pos = np.arange(key.size, dtype=np.int32)
+        np.minimum.at(seen, key, pos)
+        found = np.flatnonzero(seen[key] == pos)  # first discoverers, in order
+        seen[key] = unseen
         d += 1
         level = key[found]
         dist[level] = d
-        step[level] = l[found]
+        step[level] = bp[blk[fresh[found]]] % r
     return dist, step
 
 
@@ -356,9 +364,9 @@ def greedy_fallback(A):
     current = np.arange(n)
     letters = []
     while current.size > 1:
+        # current is sorted, so its pairs p < q are the positive entries
         sub = dist[np.ix_(current, current)]
-        sub[np.tril_indices(current.size)] = n * n  # above every distance
-        i, j = divmod(int(sub.argmin()), current.size)
+        i, j = divmod(int(np.where(sub > 0, sub, n * n).argmin()), current.size)
         p, q = int(current[i]), int(current[j])
         while p != q:
             l = int(step[p * n + q])

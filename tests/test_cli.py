@@ -242,6 +242,13 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     schema.write_text(json.dumps({"format": "other", "n": 2}))
     rc, _, err = _run(capsys, ["sync", "--in", str(schema)])
     assert rc == 2 and "format" in err
+    doc = A3.to_json_dict()
+    for field, bad in (("n", {**doc, "n": True}),
+                       ("delta[1][2]", {**doc, "delta": [[1, 2, 0], [0, 0, False]]})):
+        schema.write_text(json.dumps(bad))
+        rc, out, err = _run(capsys, ["sync", "--in", str(schema)])
+        assert rc == 2 and out == "" and field in err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
     rc, _, err = _run(
         capsys, ["experiment", "goodness", "--config", str(tmp_path / "no.json")]
     )

@@ -53,6 +53,11 @@ def test_word_basics():
     assert format_word(Word((0, 2, 1)), r=3) == "0,2,1"
     with pytest.raises(ValueError):
         Word(())
+    # a float or bool letter is refused, not truncated to an int
+    for letters in ([0.9, 1.7], [True], [0, False]):
+        with pytest.raises(ValueError):
+            Word(letters)
+    assert Word(np.array([1, 0])) == Word("ba")
 
 
 @given(
@@ -425,7 +430,15 @@ def test_json_round_trip():
         ({"format": "synchrotree-automaton-v1", "n": 2, "alphabet": 2,
           "delta": [[0, 1]]}, "delta"),
         ({"format": "synchrotree-automaton-v1", "n": 2, "alphabet": 2,
-          "delta": [[0, 5], [0, 0]]}, "delta"),
+          "delta": [[0, 5], [0, 0]]}, "delta[0][1]"),
+        ({"format": "synchrotree-automaton-v1", "n": 2, "alphabet": 2,
+          "delta": [[0, 1], [0, -2 ** 70]]}, "delta[1][1]"),
+        # JSON true/false load as bool, an int subclass; none is a number
+        ({**doc, "n": True}, "n"),
+        ({**doc, "alphabet": True}, "alphabet"),
+        ({**doc, "delta": [[1, True, 0], [0, 0, 0]]}, "delta[0][1]"),
+        ({**doc, "delta": [[1, 2, 0], [0, 0, False]]}, "delta[1][2]"),
+        ({**doc, "delta": [[1, 2, 0], [0, 1.0, 0]]}, "delta[1][1]"),
     ):
         with pytest.raises(SchemaError) as err:
             automaton_from_json(bad)

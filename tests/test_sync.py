@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -460,6 +461,30 @@ def test_pair_tables_and_greedy_match_dict_reference(A):
     cert = greedy_fallback(A)
     got = None if cert is None else (cert.word, cert.sink)
     assert got == _reference_greedy(A)
+
+
+# sha256 of dist.tobytes() + step.tobytes() and of the greedy word's text.
+# At these sizes a BFS level has tens of thousands of candidates, so a
+# first-discoverer bug shows here; the dict reference above is too slow.
+_BENCH_SCALE_TABLES = [
+    (300, 0, "f5c8ac36b21fa284c851ab45690ad5024fd4d1de272f07ea3feb15e04f3acd0e",
+     "5ddc8d68fa319433bfc69fcf95a5d7684b034baffb27374872084840619dbe83", 72, 4),
+    (600, 1, "9abed056e722b21b3a469d2a03eb8fc2df546b4a8a242fd0560cb5173d2519b6",
+     "70d5b3b2e577ae105538580515841bc2faf4400b66281510b615ec6180a38547", 112, 496),
+    (600, 2, "c28633b6d0dfee6bcd8fe36d04d50dc0793ce426a709eaca6e5616a66410dff3",
+     "fc741b7cbfca21534b67a3e446dc46994859ce47a8a7007524859302d2f2d406", 99, 249),
+]
+
+
+@pytest.mark.parametrize("n, seed, tables, word, length, sink", _BENCH_SCALE_TABLES)
+def test_pair_tables_and_greedy_frozen_at_bench_scale(n, seed, tables, word, length, sink):
+    A = random_automaton(n, seed=seed)
+    dist, step = sync._pair_merge_tables(A)
+    assert dist.dtype == step.dtype == np.int32
+    assert hashlib.sha256(dist.tobytes() + step.tobytes()).hexdigest() == tables
+    cert = greedy_fallback(A)
+    assert hashlib.sha256(cert.word.text.encode()).hexdigest() == word
+    assert (len(cert.word), cert.sink) == (length, sink)
 
 
 @settings(max_examples=300, deadline=None)
