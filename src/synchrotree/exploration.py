@@ -8,10 +8,16 @@ edge was never traversed earlier, following otherwise; an exploring step
 whose head vertex was already visited is a hit. The revealed partial
 automaton collects every traversed (state, letter) assignment, closing
 steps included, which keeps it independent of the input order.
+
+The ball claims read one kernel: it numbers the revealed vertices once and
+grows every vertex's in- and out-ball together as integer bitmasks, one
+radius at a time.
 """
 
+import math
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import islice
+from operator import or_
 
 from .core import Word, as_index, format_word, thread
 
@@ -203,51 +209,82 @@ def hit_counts(trace):
     return out
 
 
-def _adjacency(trace, t=None):
-    # one list entry per labeled slot, so len(out_adj[v]) is v's out-degree
-    out_adj = {}
-    in_adj = {}
-    for (src, _), dst in trace.revealed_map(t).items():
-        out_adj.setdefault(src, []).append(dst)
-        in_adj.setdefault(dst, []).append(src)
-    return out_adj, in_adj
+def _revealed_graph(trace, t=None):
+    # the revealed vertices at prefix t, numbered in order of appearance, and
+    # one (src, dst) pair of numbers per labeled slot, so doubled slots repeat
+    if t is not None:
+        _whole(t, "radius and t")
+    number = {}
+    edges = [(number.setdefault(src, len(number)), number.setdefault(dst, len(number)))
+             for (src, _), dst in trace.revealed_map(t).items()]
+    return list(number), edges
 
 
-def _bfs(adj, u, radius=None):
-    """The vertices within the radius of u, or all it reaches when radius
-    is None, and levels[r - 1], the vertices first reached at radius r."""
-    seen = {u}
-    levels = []
-    frontier = [u]
-    while frontier and (radius is None or len(levels) < radius):
-        nxt = []
-        for v in frontier:
-            for w in adj.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        levels.append(nxt)
-        frontier = nxt
-    return seen, levels
+def _balls(size, edges):
+    """Every vertex's out- and in-ball as bitmasks over the vertex numbers,
+    one radius at a time from 0: (out, in) lists where bit v of out[u] is
+    set when v is within the radius of u along the edges.
+
+    All balls grow together by ball_r(u) = {u} | the union of ball_{r-1}(v)
+    over v adjacent to u, one pass over the edges per radius, and the walk
+    stops once no ball grows. It holds the current and the next radius's
+    masks only: per direction, V ints of V bits for V revealed vertices.
+    """
+    out = ins = [1 << i for i in range(size)]
+    while True:
+        yield out, ins
+        nxt_out, nxt_in = out[:], ins[:]
+        for src, dst in edges:
+            nxt_out[src] |= out[dst]
+            nxt_in[dst] |= ins[src]
+        # a ball grows at radius r exactly when some shortest path has
+        # length r, so the in-balls stop growing when the out-balls do
+        if nxt_out == out:
+            return
+        out, ins = nxt_out, nxt_in
 
 
-def _ball_both(out_adj, in_adj, u, radius):
-    return _bfs(out_adj, u, radius)[0] | _bfs(in_adj, u, radius)[0]
+def _balls_at(size, edges, radius):
+    # the (out, in) masks at the radius, which stay put once the balls stop
+    for _, masks in zip(range(radius + 1), _balls(size, edges)):
+        pass
+    return masks
+
+
+def _bits(mask):
+    # the positions of the set bits, lowest first
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _whole(x, what):
+    x = as_index(x, what)
+    if x < 0:
+        raise ValueError("%s must be >= 0" % what)
+    return x
 
 
 def ball(trace, u, radius, direction="both", t=None):
     """Vertices within the radius of u in the revealed graph at prefix t.
 
     direction "out" follows edges forward, "in" backward, "both" unions.
+    u must be a state, radius and t whole numbers >= 0.
     """
-    out_adj, in_adj = _adjacency(trace, t)
-    if direction == "out":
-        return frozenset(_bfs(out_adj, u, radius)[0])
-    if direction == "in":
-        return frozenset(_bfs(in_adj, u, radius)[0])
-    if direction == "both":
-        return frozenset(_ball_both(out_adj, in_adj, u, radius))
-    raise ValueError("direction must be in, out, or both")
+    if direction not in ("in", "out", "both"):
+        raise ValueError("direction must be in, out, or both")
+    u = as_index(u, "states")
+    if not 0 <= u < trace.n:
+        raise ValueError("state out of range")
+    radius = _whole(radius, "radius and t")
+    verts, edges = _revealed_graph(trace, t)
+    if u not in verts:
+        return frozenset({u})
+    i = verts.index(u)
+    out, ins = _balls_at(len(verts), edges, radius)
+    mask = {"out": out[i], "in": ins[i], "both": out[i] | ins[i]}[direction]
+    return frozenset(verts[j] for j in _bits(mask))
 
 
 def check_equi(trace):
@@ -312,90 +349,43 @@ def check_ball_growth(trace):
     Checks every revealed vertex at the final prefix, over radii 1..2k.
     """
     per_radius = 2 * (sum(trace.step_hits) + 1)
-    out_adj, in_adj = _adjacency(trace)
-    for u in out_adj.keys() | in_adj.keys():
-        for adj in (out_adj, in_adj):
-            size = 1
-            for r, level in enumerate(_bfs(adj, u, 2 * trace.k)[1], 1):
-                size += len(level)
-                if size > per_radius * r:
-                    return False
-    return True
+    verts, edges = _revealed_graph(trace)
+    radii = islice(_balls(len(verts), edges), 1, 2 * trace.k + 1)
+    return all(max(map(int.bit_count, out + ins)) <= per_radius * r
+               for r, (out, ins) in enumerate(radii, 1))
 
 
-def _cycle_survivors(out_adj, in_adj):
-    # peel vertices that cannot lie on a directed cycle
-    verts = set(out_adj) | set(in_adj)
-    out_count = {v: len(out_adj.get(v, ())) for v in verts}
-    in_count = {v: len(in_adj.get(v, ())) for v in verts}
-    queue = [v for v in verts if out_count[v] == 0 or in_count[v] == 0]
-    dead = set()
-    while queue:
-        v = queue.pop()
-        if v in dead:
-            continue
-        dead.add(v)
-        for u in in_adj.get(v, ()):
-            if u not in dead:
-                out_count[u] -= 1
-                if out_count[u] <= 0:
-                    queue.append(u)
-        for w in out_adj.get(v, ()):
-            if w not in dead:
-                in_count[w] -= 1
-                if in_count[w] <= 0:
-                    queue.append(w)
-    return verts - dead
-
-
-def _is_directed_path(vertices, edges):
-    # a simple chain: one fewer edge than vertices, degrees at most one
-    if len(edges) != len(vertices) - 1:
-        return False
-    ins = {}
-    outs = {}
-    for src, dst in edges:
-        ins[dst] = ins.get(dst, 0) + 1
-        outs[src] = outs.get(src, 0) + 1
-        if ins[dst] > 1 or outs[src] > 1:
+def _is_path(mask, outs, ins):
+    # the ball is weakly connected through its centre, so it is a directed
+    # path exactly when no induced degree passes one, counting doubled
+    # slots, and it has one edge fewer than vertices
+    edges = 0
+    for v in _bits(mask):
+        out_deg = 0
+        for w in outs[v]:
+            out_deg += mask >> w & 1
+        in_deg = 0
+        for w in ins[v]:
+            in_deg += mask >> w & 1
+        if out_deg > 1 or in_deg > 1:
             return False
-    starts = [v for v in vertices if v not in ins]
-    if len(vertices) == 1:
-        return True
-    if len(starts) != 1:
-        return False
-    v = starts[0]
-    chain = {v}
-    nxt = {src: dst for src, dst in edges}
-    while v in nxt:
-        v = nxt[v]
-        if v in chain:
-            return False
-        chain.add(v)
-    return chain == set(vertices)
+        edges += out_deg
+    return edges == mask.bit_count() - 1
 
 
 def path_exception_count(trace, radius=None, t=None):
-    """Vertices whose combined ball is not a directed path.
-
-    Only vertices near a branching vertex, a merging vertex, or a cycle can
-    fail, so the scan visits the balls of those defects first.
-    """
-    k = radius if radius is not None else trace.k
-    out_adj, in_adj = _adjacency(trace, t)
-    defects = {v for v, ws in out_adj.items() if len(ws) >= 2}
-    defects |= {v for v, us in in_adj.items() if len(us) >= 2}
-    defects |= _cycle_survivors(out_adj, in_adj)
-    # the candidates are the defects' ball vertices; each ball is walked once
-    balls = {v: _ball_both(out_adj, in_adj, v, k) for v in defects}
-    for u in set().union(*balls.values()) - balls.keys():
-        balls[u] = _ball_both(out_adj, in_adj, u, k)
-    count = 0
-    for verts in balls.values():
-        induced = [(s, d) for s in verts for d in out_adj.get(s, ()) if d in verts]
-        if not _is_directed_path(verts, induced):
-            count += 1
-    return count
+    """How many revealed vertices have a combined ball, the union of the
+    out- and in-ball at the radius (k by default), that is not a directed
+    path at prefix t; radius and t must be whole numbers >= 0."""
+    radius = trace.k if radius is None else _whole(radius, "radius and t")
+    verts, edges = _revealed_graph(trace, t)
+    outs = [[] for _ in verts]
+    ins = [[] for _ in verts]
+    for src, dst in edges:
+        outs[src].append(dst)
+        ins[dst].append(src)
+    out_balls, in_balls = _balls_at(len(verts), edges, radius)
+    return sum(not _is_path(o | i, outs, ins) for o, i in zip(out_balls, in_balls))
 
 
 def check_path_exceptions(trace):
@@ -477,18 +467,6 @@ def longest_following_run(trace):
     return best
 
 
-def _union_within(out_adj, in_adj, u, per_radius):
-    # the union of u's out- and in-ball holds at most per_radius * r
-    # vertices at every radius r
-    union = {u}
-    levels = zip_longest(_bfs(out_adj, u)[1], _bfs(in_adj, u)[1], fillvalue=())
-    for r, (out_level, in_level) in enumerate(levels, 1):
-        union.update(out_level, in_level)
-        if len(union) > per_radius * r:
-            return False
-    return True
-
-
 def check_typicality(trace, d=None, k=None, n=None):
     """Audit one trace against the typical-event bounds.
 
@@ -510,11 +488,14 @@ def check_typicality(trace, d=None, k=None, n=None):
     e_len = all(L <= t_max for L in lengths)
     hits = sum(trace.step_hits)
     e_hit = hits <= h_max
-    out_adj, in_adj = _adjacency(trace)
-    verts = out_adj.keys() | in_adj.keys()
-    ball_checked = len(verts) > 4 * (h_max + 1)
+    verts, edges = _revealed_graph(trace)
+    per_radius = 4 * (h_max + 1)
+    ball_checked = len(verts) > per_radius
+    # no ball outgrows the bound from the radius where it reaches V
+    radii = islice(_balls(len(verts), edges), 1, math.ceil(len(verts) / per_radius))
     e_ball = not ball_checked or all(
-        _union_within(out_adj, in_adj, u, 4 * (h_max + 1)) for u in verts
+        max(map(int.bit_count, map(or_, out, ins))) <= per_radius * r
+        for r, (out, ins) in enumerate(radii, 1)
     )
     path_bound = 10 * k * h_max * h_max
     if n <= path_bound:

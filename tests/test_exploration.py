@@ -34,18 +34,17 @@ from synchrotree.exploration import (
     path_exception_count,
     thread_edge_runs,
 )
-from synchrotree.exploration import _cycle_survivors, _is_directed_path
 
 A3 = Automaton([[1, 2, 0], [0, 0, 0]])
 AB = Word("ab")
 
 
-def _nc_word_set(k, d, rng):
+def _nc_word_set(k, d, rng, r=2):
     # distinct words, no two conjugate, as the walk inputs assume
     words = []
     guard = 0
     while len(words) < d:
-        w = random_nc_word(k, 2, rng)
+        w = random_nc_word(k, r, rng)
         if all(not are_conjugate(w, v) for v in words):
             words.append(w)
         guard += 1
@@ -111,6 +110,15 @@ def test_ball_directions_and_prefixes():
     assert ball(tr, 0, 1, "in", t=1) == frozenset({0})
     with pytest.raises(ValueError):
         ball(tr, 0, 1, "sideways")
+    # states must be in range(n), radius and t whole numbers >= 0
+    for u, radius, t in ((10 ** 9, 1, None), (-3, 2, None), (3, 0, None),
+                         (True, 1, None), (0, 1.5, None), (0, -1, None),
+                         (0, 1, -1), (0, 1, 1.0)):
+        with pytest.raises(ValueError):
+            ball(tr, u, radius, t=t)
+    for radius, t in ((-1, None), (1.5, None), (None, -1), (None, 0.5), (False, None)):
+        with pytest.raises(ValueError):
+            path_exception_count(tr, radius, t)
 
 
 def test_duplicate_entry_has_zero_span():
@@ -199,6 +207,21 @@ def test_claim_checkers_hold_on_random_traces():
         assert check_path_exceptions(tr)
 
 
+def test_ball_growth_flags_a_fast_growing_in_ball():
+    # a revealed map no exploration makes: with one hit the bound is 4r, and
+    # state 0's in-ball holds 4 states at radius 1 but 9 at radius 2 = 2k
+    preds = {0: (1, 2, 3), 1: (4, 5, 6), 2: (7, 8)}
+    revealed = {(p, 0): (v, 0) for v, ps in preds.items() for p in ps}
+    A = Automaton([[0] * 9, [0] * 9])
+    spec = InputSpec(((0, 0, Word("a")),))
+    tr = ExplorationTrace(A, spec, (Word("a"),), (0,), [(0, 0, 0)], (0, 1), [0], [0],
+                          [0], [True], [True], [True], ((0, 0, 0),), revealed)
+    assert ball(tr, 0, 1, "in") == frozenset(range(4))
+    assert ball(tr, 0, 2, "in") == frozenset(range(9))
+    assert not check_ball_growth(tr)
+    assert not _reference_check_ball_growth(tr)
+
+
 def test_path_exception_count_small():
     # the two revealed edges close a directed 2-cycle, so both endpoints
     # fail the path condition
@@ -210,6 +233,15 @@ def test_path_exception_count_small():
     succ = [min(i + 1, n - 1) for i in range(n)]
     tr = explore(Automaton([succ, succ]), InputSpec(((0, 0, AB),)))
     assert path_exception_count(tr, radius=2, t=3) == 0
+    # on the cycle i -> i+1 both letters take 0 to 1: at radius 1 that
+    # doubled slot puts two parallel edges in the balls of 0 and 1, and
+    # before the second letter's slot is revealed every ball is a path
+    succ = [(i + 1) % 8 for i in range(8)]
+    tr = explore(Automaton([succ, succ]), InputSpec(((0, 0, Word("a")), (0, 0, Word("b")))))
+    assert tr.revealed_map(9)[(0, 1)] == tr.revealed_map(9)[(0, 0)] == 1
+    assert path_exception_count(tr, radius=1, t=8) == 0
+    assert path_exception_count(tr, radius=1, t=9) == 2
+    assert _reference_path_exception_count(tr, 1, 9) == 2
 
 
 def test_typicality_report_fields():
@@ -319,8 +351,8 @@ def _reference_bfs(adj, u, radius):
     return seen
 
 
-def _reference_ball(trace, u, radius, direction, t=None):
-    out_adj, in_adj = _reference_adjacency(trace, t)
+def _reference_ball(adjacency, u, radius, direction):
+    out_adj, in_adj = adjacency
     if direction == "out":
         return frozenset(_reference_bfs(out_adj, u, radius))
     if direction == "in":
@@ -351,6 +383,58 @@ def _reference_check_ball_growth(trace):
                 if not frontier:
                     break
     return True
+
+
+def _cycle_survivors(out_adj, in_adj):
+    # peel vertices that cannot lie on a directed cycle
+    verts = set(out_adj) | set(in_adj)
+    out_count = {v: len(out_adj.get(v, ())) for v in verts}
+    in_count = {v: len(in_adj.get(v, ())) for v in verts}
+    queue = [v for v in verts if out_count[v] == 0 or in_count[v] == 0]
+    dead = set()
+    while queue:
+        v = queue.pop()
+        if v in dead:
+            continue
+        dead.add(v)
+        for u in in_adj.get(v, ()):
+            if u not in dead:
+                out_count[u] -= 1
+                if out_count[u] <= 0:
+                    queue.append(u)
+        for w in out_adj.get(v, ()):
+            if w not in dead:
+                in_count[w] -= 1
+                if in_count[w] <= 0:
+                    queue.append(w)
+    return verts - dead
+
+
+def _is_directed_path(vertices, edges):
+    # a simple chain: one fewer edge than vertices, degrees at most one
+    if len(edges) != len(vertices) - 1:
+        return False
+    ins = {}
+    outs = {}
+    for src, dst in edges:
+        ins[dst] = ins.get(dst, 0) + 1
+        outs[src] = outs.get(src, 0) + 1
+        if ins[dst] > 1 or outs[src] > 1:
+            return False
+    starts = [v for v in vertices if v not in ins]
+    if len(vertices) == 1:
+        return True
+    if len(starts) != 1:
+        return False
+    v = starts[0]
+    chain = {v}
+    nxt = {src: dst for src, dst in edges}
+    while v in nxt:
+        v = nxt[v]
+        if v in chain:
+            return False
+        chain.add(v)
+    return chain == set(vertices)
 
 
 def _reference_labeled_degrees(trace, t=None):
@@ -422,19 +506,24 @@ def _reference_typicality_ball(trace, h_max):
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(15, 200),
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(15, 200), r=st.integers(2, 3),
        k=st.integers(2, 6), d=st.integers(1, 4), data=st.data())
-def test_revealed_graph_walks_match_reference(seed, n, k, d, data):
+def test_revealed_graph_walks_match_reference(seed, n, r, k, d, data):
     rng = rng_from_seed(seed)
-    A = random_automaton(n, 2, seed=seed)
-    words = _nc_word_set(k, d, rng)
+    A = random_automaton(n, r, seed=seed)
+    words = _nc_word_set(k, d, rng, r)
     entries = tuple((int(rng.integers(n)), int(rng.integers(k)), w) for w in words)
     tr = explore(A, InputSpec(entries))
     t = data.draw(st.one_of(st.none(), st.integers(0, tr.final_time)), label="t")
     radius = data.draw(st.integers(0, 2 * k + 1), label="radius")
-    u = data.draw(st.integers(0, n - 1), label="u")
-    for direction in ("in", "out", "both"):
-        assert ball(tr, u, radius, direction, t) == _reference_ball(tr, u, radius, direction, t)
+    # every vertex revealed by the whole trace, so also those t leaves out
+    revealed = {v for (src, _), (dst, _) in tr.revealed.items() for v in (src, dst)}
+    adjacency = _reference_adjacency(tr, t)
+    for u in revealed:
+        for ball_radius in range(2 * k + 2):
+            for direction in ("in", "out", "both"):
+                assert (ball(tr, u, ball_radius, direction, t)
+                        == _reference_ball(adjacency, u, ball_radius, direction))
     assert path_exception_count(tr, radius, t) == _reference_path_exception_count(tr, radius, t)
     assert path_exception_count(tr, t=t) == _reference_path_exception_count(tr, t=t)
     assert check_ball_growth(tr) == _reference_check_ball_growth(tr)

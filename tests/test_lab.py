@@ -122,13 +122,24 @@ def _goodness_cfg(out=None):
     )
 
 
-def test_run_deterministic_and_parallel_identical(tmp_path):
+def _tiny_cfg(experiment, out):
+    if experiment == "goodness":
+        return _goodness_cfg(out)
+    word = "aab" if experiment == "tree_probability" else None
+    # 80 jobs, so the pool hands out two chunks of 64
+    return ExperimentConfig(experiment=experiment, sizes=(8, 12), trials=40, seed=5,
+                            k_rule=("explicit", 3), word=word, out=out)
+
+
+@pytest.mark.parametrize(
+    "experiment", [name for name, e in lab.EXPERIMENTS.items() if e.row is not None])
+def test_run_deterministic_and_parallel_identical(tmp_path, experiment):
     p1 = str(tmp_path / "one.csv")
     p2 = str(tmp_path / "two.csv")
     p3 = str(tmp_path / "three.csv")
-    r1 = run(_goodness_cfg(p1))
-    r2 = run(_goodness_cfg(p2))
-    r3 = run(_goodness_cfg(p3), workers=2)
+    r1 = run(_tiny_cfg(experiment, p1))
+    r2 = run(_tiny_cfg(experiment, p2))
+    r3 = run(_tiny_cfg(experiment, p3), workers=2)
     assert r1.rows == r2.rows == r3.rows
     assert r1.aggregates == r3.aggregates
     b1 = open(p1, "rb").read()
