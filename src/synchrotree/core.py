@@ -319,13 +319,10 @@ def apply_word(A, state, word):
     return state
 
 
-def apply_word_all(A, word, states=None):
-    """Images of every state (or a given array of states) under the word."""
+def apply_word_all(A, word):
+    """Images of every state under the word."""
     _check_word(A, word)
-    if states is None:
-        states = np.arange(A.n, dtype=np.int64)
-    else:
-        states = np.asarray(states, dtype=np.int64)
+    states = np.arange(A.n, dtype=np.int64)
     for l in word.letters:
         states = A.delta[l, states]
     return states

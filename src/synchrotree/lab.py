@@ -71,15 +71,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError("unknown experiment: %s" % (self.experiment,))
+        if not all(_is_whole(n) and n >= 1 for n in self.sizes):
+            raise ValueError("sizes: expected whole numbers >= 1")
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        if not (_is_number(self.trials) and float(self.trials).is_integer()
-                and self.trials >= 1):
+        if not (_is_whole(self.trials) and self.trials >= 1):
             raise ValueError("trials: expected a whole number >= 1")
         object.__setattr__(self, "trials", int(self.trials))
+        if not _is_whole(self.seed):
+            raise ValueError("seed: expected a whole number")
+        object.__setattr__(self, "seed", int(self.seed))
+        if self.budget is not None:
+            if not (_is_whole(self.budget) and self.budget >= 0):
+                raise ValueError("budget: expected null or a whole number >= 0")
+            object.__setattr__(self, "budget", int(self.budget))
         if not (_is_number(self.epsilon) and math.isfinite(self.epsilon)):
             raise ValueError("epsilon: expected a finite number")
-        if any(n < 1 for n in self.sizes):
-            raise ValueError("sizes: states must be positive")
         rule = tuple(self.k_rule)
         if rule[0] not in ("explicit", "log2", "ln") or len(rule) != 2:
             raise ValueError("k_rule: expected (explicit|log2|ln, value)")
@@ -111,6 +117,11 @@ class ExperimentConfig:
 
 def _is_number(x):
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_whole(x):
+    # ints skip float(), which overflows past 1e308
+    return _is_number(x) and (isinstance(x, numbers.Integral) or float(x).is_integer())
 
 
 def config_from_json(doc):

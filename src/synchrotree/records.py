@@ -10,13 +10,13 @@ their cycle minima or on their branch records.
 """
 
 import itertools
-import operator
 from collections import namedtuple
 from dataclasses import dataclass
 
 from .core import (
     Word,
     are_conjugate,
+    as_index,
     cycles,
     is_self_conjugate,
     is_w_tree,
@@ -27,9 +27,11 @@ from .core import (
 
 def _check_sigma(sigma, n):
     try:
-        sigma = tuple(map(operator.index, sigma))
+        sigma = tuple(sigma)
     except TypeError:
         raise ValueError("sigma must hold integer labels") from None
+    if set(map(type, sigma)) != {int}:  # one pass when all are plain ints
+        sigma = tuple(as_index(x, "sigma labels") for x in sigma)
     # n distinct labels in range(n) are a permutation
     if len(sigma) != n or len(set(sigma)) != n or min(sigma) < 0 or max(sigma) >= n:
         raise ValueError("sigma must be a permutation of the states")
@@ -37,10 +39,7 @@ def _check_sigma(sigma, n):
 
 
 def _check_mark(mark, n):
-    try:
-        mark = operator.index(mark)
-    except TypeError:
-        raise ValueError("mark must be an integer state") from None
+    mark = as_index(mark, "marks")
     if not 0 <= mark < n:
         raise ValueError("mark out of range")
     return mark

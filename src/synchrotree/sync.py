@@ -15,7 +15,6 @@ held in flat numpy arrays of size n*n.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +24,10 @@ from .core import (
     FunctionalGraph,
     Word,
     apply_word_all,
+    as_index,
     format_word,
     height,
-    is_self_conjugate,
     loop_root,
-    rng_from_seed,
 )
 
 
@@ -103,43 +101,23 @@ def _self_conjugate_rows(letters):
     return out
 
 
-def _word_batches(A, k, budget, mode, seed, allow_self_conjugate):
-    """The words examined, in search order, as (B, k) letter arrays of
-    64, 128, ... up to _MAX_BATCH rows, stopping after budget words."""
+def _word_batches(A, k, budget):
+    """The first budget non-self-conjugate words of length k, in
+    lexicographic order, as (B, k) letter arrays of up to 64, 128, ... rows."""
     r = A.r
     total = r ** k
     left = math.inf if budget is None else budget
     size = 64
-    if mode == "exhaustive":
-        first = 0
-        while first < total and left > 0:
-            count = min(size, left, total - first)
-            letters = _lex_letters(first, count, r, k)
-            first += count
-            if not allow_self_conjugate:
-                letters = letters[~_self_conjugate_rows(letters)]
-            left -= len(letters)
-            size = min(2 * size, _MAX_BATCH)
-            if len(letters):
-                yield letters
-        return
-    # sampled: uniform draws without replacement, one draw per word; ends
-    # once every word of length k was drawn
-    rng = rng_from_seed(seed)
-    seen = set()
-    while len(seen) < total and left > 0:
-        batch = []
-        while len(batch) < min(size, left) and len(seen) < total:
-            letters = tuple(int(x) for x in rng.integers(0, r, size=k))
-            if letters in seen:
-                continue
-            seen.add(letters)
-            if allow_self_conjugate or not is_self_conjugate(letters):
-                batch.append(letters)
-        left -= len(batch)
+    first = 0
+    while first < total and left > 0:
+        count = min(size, left, total - first)
+        letters = _lex_letters(first, count, r, k)
+        first += count
+        letters = letters[~_self_conjugate_rows(letters)]
+        left -= len(letters)
         size = min(2 * size, _MAX_BATCH)
-        if batch:
-            yield np.array(batch, dtype=np.int64)
+        if len(letters):
+            yield letters
 
 
 def _walk_ends(table, offs, x, target=None):
@@ -222,34 +200,23 @@ def _tree_words(A, k, batches):
                 yield Word(letters[i].tolist()), height(FunctionalGraph(f)), root
 
 
-def iter_tree_words(A, k, budget=None, mode="exhaustive", seed=0,
-                    allow_self_conjugate=False):
-    """Every word of length k whose one-letter view is a loop-rooted tree.
-
-    Exhaustive mode scans non-self-conjugate words (all words with
-    allow_self_conjugate) in lexicographic order; sampled mode draws them
-    uniformly without replacement. budget, a whole number, caps the number
-    of words examined. Yields (word, height, root) in search order.
+def iter_tree_words(A, k, budget=None):
+    """(word, height, root) for every word of length k whose one-letter
+    view is a loop-rooted tree, scanning the non-self-conjugate words in
+    lexicographic order; budget, a whole number >= 0, caps the words scanned.
     """
     if k < 1:
         raise ValueError("word length must be positive")
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError("mode must be exhaustive or sampled")
-    if budget is None:
-        if mode == "sampled":
-            raise ValueError("sampled mode needs a budget")
-    elif not isinstance(budget, numbers.Integral) or budget < 0:
-        raise ValueError("budget must be a whole number >= 0, got %r" % (budget,))
-    batches = _word_batches(A, k, budget, mode, seed, allow_self_conjugate)
-    return _tree_words(A, k, batches)
+    if budget is not None:
+        budget = as_index(budget, "budget")
+        if budget < 0:
+            raise ValueError("budget must be >= 0")
+    return _tree_words(A, k, _word_batches(A, k, budget))
 
 
-def find_tree_word(A, k, budget=None, mode="exhaustive", seed=0,
-                   allow_self_conjugate=False):
+def find_tree_word(A, k, budget=None):
     """The first item of iter_tree_words, (word, height, root), or None."""
-    found = iter_tree_words(A, k, budget=budget, mode=mode, seed=seed,
-                            allow_self_conjugate=allow_self_conjugate)
-    return next(found, None)
+    return next(iter_tree_words(A, k, budget), None)
 
 
 def pick_tree_length(n, epsilon=0.2):
@@ -261,7 +228,7 @@ def pick_tree_length(n, epsilon=0.2):
     return max(1, min(k, math.ceil(2 * math.log2(n))))
 
 
-def tree_sync_word(A, epsilon=0.2, budget=None, seed=0, mode="exhaustive"):
+def tree_sync_word(A, epsilon=0.2, budget=None):
     """Synchronize by repeating a tree word height-many times.
 
     Returns a verified certificate, or None when no tree word of the
@@ -270,7 +237,7 @@ def tree_sync_word(A, epsilon=0.2, budget=None, seed=0, mode="exhaustive"):
     if A.n < 2:
         raise ValueError("need at least two states")
     k = pick_tree_length(A.n, epsilon)
-    found = find_tree_word(A, k, budget=budget, mode=mode, seed=seed)
+    found = find_tree_word(A, k, budget)
     if found is None:
         return None
     w, H, root = found

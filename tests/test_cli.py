@@ -259,12 +259,17 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     assert rc == 2 and out == "" and err.startswith("error:") and "trial" in err
     for name, key, value in (("height", "trials", "5"), ("height", "trials", 2.5),
                              ("scaling", "epsilon", "x"),
-                             ("height", "k_rule", {"type": "log2", "epsilon": 1e999})):
+                             ("height", "k_rule", {"type": "log2", "epsilon": 1e999}),
+                             ("height", "seed", 1.5), ("height", "seed", True),
+                             ("height", "sizes", [8.5]), ("scaling", "budget", True),
+                             ("scaling", "budget", 2.5), ("scaling", "budget", "3"),
+                             ("scaling", "budget", -1)):
         cfg = tmp_path / "badtype.json"
         cfg.write_text(json.dumps({"experiment": name, "sizes": [8], key: value}))
         rc, out, err = _run(capsys, ["experiment", name, "--config", str(cfg)])
         assert rc == 2 and out == ""
         assert err.startswith("error:") and key in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
     for payload in ([1, 2], "goodness", 3):
         cfg = tmp_path / "notobject.json"
         cfg.write_text(json.dumps(payload))
@@ -279,3 +284,9 @@ def test_sync_bad_search_arguments(tmp_path, capsys):
         rc, out, err = _run(capsys, ["sync", "--in", path, flag, value])
         assert rc == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+    # argparse refuses budgets that are no integers, with its usage line
+    for value in ("2.5", "True"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sync", "--in", path, "--budget", value])
+        assert exit_info.value.code == 2
+        assert "--budget" in capsys.readouterr().err

@@ -186,6 +186,8 @@ def test_apply_word():
     assert apply_word(A3, 0, AB) == 0
     assert apply_word(A3, 2, Word("b")) == 0
     assert apply_word_all(A3, AB).tolist() == [0, 0, 0]
+    with pytest.raises(TypeError):
+        apply_word_all(A3, AB, states=[0])
     with pytest.raises(ValueError):
         apply_word(A3, 3, AB)
     with pytest.raises(ValueError):
@@ -266,6 +268,29 @@ def test_is_w_tree_power_stable():
         base = is_w_tree(A, w)
         for m in (2, 3):
             assert is_w_tree(A, w.repeat(m)) == base
+
+
+@st.composite
+def _small_automata_and_words(draw):
+    n = draw(st.integers(1, 12))
+    r = draw(st.integers(2, 3))
+    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    A = Automaton(draw(st.lists(row, min_size=r, max_size=r)))
+    return A, Word(draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_small_automata_and_words())
+def test_is_w_tree_conjugation_and_power_invariant(case):
+    # f_uv and f_vu have the same cycle type on their periodic points, and
+    # f^m the same periodic points as f, so a tree word's rotations and
+    # powers are tree words; the tree search relies on both to skip words
+    A, w = case
+    base = is_w_tree(A, w)
+    for m in range(1, len(w)):
+        assert is_w_tree(A, w.rotate(m)) == base
+    for e in (2, 3):
+        assert is_w_tree(A, w.repeat(e)) == base
 
 
 def test_height():

@@ -454,6 +454,11 @@ def test_labelings_and_marks_must_be_integers():
         DoubleMarked(A3, 0, 1.0, ID3, ID3)
     with pytest.raises(ValueError):
         DoubleMarked(A3, 0, 0, ID3, (2, 1, 0.5))
+    # bools are ints to Python, but no labels or marks
+    with pytest.raises(ValueError):
+        Labeled(Automaton([[1, 0], [0, 0]]), (True, False))
+    with pytest.raises(ValueError):
+        MarkedLabeled(Automaton([[1, 0], [0, 0]]), True, (0, 1))
     # numpy integers are integers, and are stored as ints
     y = MarkedLabeled(A3, np.int64(2), np.arange(3))
     assert y.sigma == ID3 and y.mark == 2

@@ -26,7 +26,6 @@ from synchrotree.core import (
     loop_root,
     one_letter_view,
     random_automaton,
-    rng_from_seed,
     trial_seed,
 )
 from synchrotree.lab import save_automaton
@@ -76,39 +75,31 @@ def test_find_tree_word_examples():
 def test_find_tree_word_validation():
     with pytest.raises(ValueError):
         find_tree_word(A3, 0)
-    with pytest.raises(ValueError):
-        find_tree_word(A3, 2, mode="sampled")
-    with pytest.raises(ValueError):
-        find_tree_word(A3, 2, mode="guess")
     # budgets are whole numbers >= 0, checked before any word is examined
-    for budget in (-1, 2.5, "3"):
+    for budget in (-1, 2.5, "3", True):
         with pytest.raises(ValueError):
             iter_tree_words(A3, 2, budget=budget)
         with pytest.raises(ValueError):
-            iter_tree_words(A3, 2, budget=budget, mode="sampled")
+            tree_sync_word(A3, budget=budget)
+    assert find_tree_word(A3, 2, np.int64(0)) is None
+    # the search has one order and no other knobs
+    for knob in ({"mode": "sampled"}, {"seed": 0}, {"allow_self_conjugate": True}):
+        for search in (iter_tree_words, find_tree_word):
+            with pytest.raises(TypeError):
+                search(A3, 2, **knob)
+        with pytest.raises(TypeError):
+            tree_sync_word(A3, **knob)
 
 
-def test_find_tree_word_sampled():
-    found = find_tree_word(A3, 2, budget=2, mode="sampled", seed=0)
-    assert found is not None
-    w, height, root = found
-    word = w.repeat(height)
-    assert is_synchronizing(A3, word) == root
-    # a budget of zero examines nothing
-    assert find_tree_word(A3, 2, budget=0, mode="sampled", seed=0) is None
-    # a budget above the number of words ends once every word was drawn
-    ident = Automaton([[0, 1, 2], [0, 1, 2]])
-    assert find_tree_word(ident, 2, budget=100, mode="sampled") is None
-
-
-def test_find_tree_word_self_conjugate_flag():
-    # only the square of a works here, and it is its own rotation
+def test_find_tree_word_skips_self_conjugate_words():
+    # only the square of a works at length 2, and it is its own rotation;
+    # a itself is the tree word, found at length 1
     A = Automaton([[1, 2, 2], [1, 0, 2]])
     assert find_tree_word(A, 2) is None
-    assert find_tree_word(A, 2, allow_self_conjugate=True) == (Word("aa"), 1, 2)
+    assert find_tree_word(A, 1) == (Word("a"), 2, 2)
 
 
-def _reference_tree_words(A, k, allow_self_conjugate):
+def _reference_tree_words(A, k):
     # every tree word of length k in lexicographic product order, with its
     # rank among the words examined; a tree has one cyclic point, its root,
     # and its height is the least H for which H steps send every state there
@@ -116,7 +107,7 @@ def _reference_tree_words(A, k, allow_self_conjugate):
     examined = 0
     for letters in itertools.product(range(A.r), repeat=k):
         w = Word(letters)
-        if not allow_self_conjugate and is_self_conjugate(w):
+        if is_self_conjugate(w):
             continue
         examined += 1
         F = one_letter_view(A, w)
@@ -130,19 +121,6 @@ def _reference_tree_words(A, k, allow_self_conjugate):
                 H += 1
             out.append((examined - 1, (w, H, root)))
     return out
-
-
-def _reference_draws(r, k, seed, allow_self_conjugate):
-    # sampled mode's words: one draw of k letters per word from the seed's
-    # stream, repeats and (unless allowed) self-conjugate words skipped
-    rng = rng_from_seed(seed)
-    seen = set()
-    while len(seen) < r ** k:
-        letters = tuple(int(x) for x in rng.integers(0, r, size=k))
-        if letters not in seen:
-            seen.add(letters)
-            if allow_self_conjugate or not is_self_conjugate(letters):
-                yield Word(letters)
 
 
 @st.composite
@@ -168,8 +146,7 @@ def _cli_tree_words_all(A, k):
 @st.composite
 def _small_searches(draw):
     # k up to 9 crosses the 64/128/256-word batch boundaries at r = 2; at
-    # r = 3 it stops at 6, since drawing all 3^9 words in sampled mode takes
-    # some 2*10^5 draws
+    # r = 3 it stops at 6 to keep tier-1 time down
     A = draw(_small_automata())
     return A, draw(st.integers(1, 9 if A.r == 2 else 6))
 
@@ -182,34 +159,16 @@ def _small_searches(draw):
 def test_iter_tree_words_matches_brute_force(search, budget):
     # odd k ends on a single letter, and budgets cut batches
     A, k = search
-    for sc in (False, True):
-        ranked = _reference_tree_words(A, k, sc)
-        everything = [hit for _, hit in ranked]
-        if not sc:
-            plain = everything
-        expect = [hit for i, hit in ranked if budget is None or i < budget]
-        got = list(iter_tree_words(A, k, budget=budget, allow_self_conjugate=sc))
-        assert got == expect
-        assert find_tree_word(A, k, budget=budget, allow_self_conjugate=sc) == (
-            expect[0] if expect else None
-        )
-        # sampled with a budget covering every word sees the same tree words
-        sampled = iter_tree_words(A, k, budget=A.r ** k, mode="sampled",
-                                  seed=k, allow_self_conjugate=sc)
-        assert sorted(sampled, key=lambda t: t[0].letters) == everything
-        # below that, the hits come in the order of the seed's draws
-        cut = min(600 if budget is None else budget, A.r ** k - 1)
-        trees = {w: (w, H, root) for w, H, root in everything}
-        drawn = islice(_reference_draws(A.r, k, k, sc), cut)
-        assert list(iter_tree_words(A, k, budget=cut, mode="sampled", seed=k,
-                                    allow_self_conjugate=sc)) == [
-            trees[w] for w in drawn if w in trees
-        ]
+    ranked = _reference_tree_words(A, k)
+    everything = [hit for _, hit in ranked]
+    expect = [hit for i, hit in ranked if budget is None or i < budget]
+    assert list(iter_tree_words(A, k, budget=budget)) == expect
+    assert find_tree_word(A, k, budget=budget) == (expect[0] if expect else None)
     rc, doc = _cli_tree_words_all(A, k)
-    assert rc == (0 if plain else 1)
+    assert rc == (0 if everything else 1)
     assert doc == {
         "k": k,
-        "words": [{"word": w.text, "H": h, "root": r} for w, h, r in plain],
+        "words": [{"word": w.text, "H": h, "root": r} for w, h, r in everything],
     }
 
 
@@ -225,7 +184,7 @@ def test_lex_letters_match_base_r_indices():
             assert int("".join(map(str, row)), r) == first + i
 
 
-def _reference_trie_maps(A, k, allow_self_conjugate):
+def _reference_trie_maps(A, k):
     # (letters, map) for the words of length k in lexicographic order, by a
     # depth-first walk of the word trie: each node's map is one gather of
     # its parent's; self-conjugate words are skipped at the leaves
@@ -241,7 +200,7 @@ def _reference_trie_maps(A, k, allow_self_conjugate):
         head = tuple(letters[:-1])
         for last in range(r):
             word = head + (last,)
-            if allow_self_conjugate or not is_self_conjugate(word):
+            if not is_self_conjugate(word):
                 yield word, delta[last][maps[-1]]
         i = k - 2
         while i >= 0 and letters[i] == r - 1:
@@ -253,17 +212,10 @@ def _reference_trie_maps(A, k, allow_self_conjugate):
         depth = i
 
 
-def _reference_iter_tree_words(A, k, budget=None, mode="exhaustive", seed=0,
-                               allow_self_conjugate=False):
+def _reference_iter_tree_words(A, k, budget=None):
     # the engine the batched rho walks replaced: every examined word gets
-    # its full map, from the trie walk or one map per sampled draw, and
-    # loop_root and height decide on it
-    if mode == "exhaustive":
-        maps = _reference_trie_maps(A, k, allow_self_conjugate)
-    else:
-        maps = ((w.letters, apply_word_all(A, w))
-                for w in _reference_draws(A.r, k, seed, allow_self_conjugate))
-    for letters, f in islice(maps, budget):
+    # its full map from the trie walk, and loop_root and height decide on it
+    for letters, f in islice(_reference_trie_maps(A, k), budget):
         root = loop_root(f)
         if root is not None:
             yield Word(letters), height(FunctionalGraph(f)), root
@@ -276,18 +228,13 @@ def _reference_iter_tree_words(A, k, budget=None, mode="exhaustive", seed=0,
     seed=st.integers(0, 2**32),
     epsilon=st.sampled_from([0.2, 0.5, 1.0]),
     budget=st.integers(0, 2000),
-    mode=st.sampled_from(["exhaustive", "sampled"]),
-    sc=st.booleans(),
 )
-def test_iter_tree_words_matches_reference_engine(n, r, seed, epsilon, budget,
-                                                  mode, sc):
+def test_iter_tree_words_matches_reference_engine(n, r, seed, epsilon, budget):
     # sizes where the rho walks of stages 1 and 2 really reject words
     A = random_automaton(n, r, seed=seed)
     k = pick_tree_length(n, epsilon)
-    got = iter_tree_words(A, k, budget=budget, mode=mode, seed=seed,
-                          allow_self_conjugate=sc)
-    expect = _reference_iter_tree_words(A, k, budget=budget, mode=mode,
-                                        seed=seed, allow_self_conjugate=sc)
+    got = iter_tree_words(A, k, budget=budget)
+    expect = _reference_iter_tree_words(A, k, budget=budget)
     assert list(islice(got, 8)) == list(islice(expect, 8))
 
 
@@ -334,7 +281,7 @@ def test_certificates_are_checked_without_assert(monkeypatch):
 def test_tree_sync_word_none_cases():
     ident = Automaton([[0, 1, 2, 3], [0, 1, 2, 3]])
     assert tree_sync_word(ident) is None
-    assert tree_sync_word(ident, mode="sampled", budget=5) is None
+    assert tree_sync_word(ident, budget=5) is None
 
 
 def test_certificate_json():
@@ -504,11 +451,7 @@ def test_certificates_reset_to_their_sink(data, n, r):
     assert (greedy is not None) == (exact is not None) == synchronizable
     certs = [greedy]
     if n >= 2:
-        certs.append(tree_sync_word(
-            A, budget=data.draw(st.integers(0, 100)),
-            mode=data.draw(st.sampled_from(["exhaustive", "sampled"])),
-            seed=data.draw(st.integers(0, 2**32 - 1)),
-        ))
+        certs.append(tree_sync_word(A, budget=data.draw(st.integers(0, 100))))
     for cert in certs:
         if cert is not None:
             assert cert.verified
