@@ -5,6 +5,7 @@ Exit codes: 0 on success, 1 when a search legitimately finds nothing
 """
 
 import argparse
+import functools
 import json
 import sys
 from itertools import islice
@@ -162,6 +163,7 @@ def _cmd_experiment(args):
     return 0
 
 
+@functools.lru_cache(maxsize=1)  # built once, on first use rather than at import
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="synchrotree",

@@ -89,12 +89,9 @@ class ExperimentConfig:
         rule = tuple(self.k_rule)
         if rule[0] not in ("explicit", "log2", "ln") or len(rule) != 2:
             raise ValueError("k_rule: expected (explicit|log2|ln, value)")
-        try:
-            value = float(rule[1])
-        except (TypeError, ValueError):
-            raise ValueError("k_rule: value must be a number") from None
-        if not math.isfinite(value):
-            raise ValueError("k_rule: value must be finite")
+        if not (_is_number(rule[1]) and math.isfinite(rule[1])):
+            raise ValueError("k_rule: value must be a finite number")
+        value = float(rule[1])
         if rule[0] == "explicit" and not (value.is_integer() and value >= 1):
             raise ValueError("k_rule: explicit k must be a whole number >= 1")
         object.__setattr__(self, "k_rule", (rule[0], value))

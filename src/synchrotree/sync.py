@@ -5,8 +5,9 @@ The fast route: find a word w whose one-letter view is a loop-rooted tree,
 measure its height H, and emit w^H, which drags every state into the root.
 A tree's one cycle is a fixed point, so the search first walks single
 states under batches of candidate words in lockstep, with Brent's cycle
-detection, and drops each word whose walk proves another cycle. Only the
-words left get a full map; the tree test and the height come from core's
+detection, and drops each word whose walk proves another cycle; a word map
+is one gather per b-letter block, b = 4 on two letters. Only the words
+left get a full map; the tree test and the height come from core's
 functional-graph kernel, loop_root and height. The oracles: a
 power-set BFS for exact shortest words on tiny automata, a pair-merging
 check for synchronizability, and a cubic greedy fallback (Eppstein 1990).
@@ -120,81 +121,101 @@ def _word_batches(A, k, budget):
             yield letters
 
 
+def _block_table(A, k):
+    """(table, b): the maps of the b-letter blocks, then those of the
+    t-letter tails, t = k mod b, each in lexicographic order, as a flat
+    int64 array of (r**b + r**t)*n entries (r**b*n when t = 0). b is the
+    largest length with r**b <= 16, at least 2. A row is one gather, made
+    in place: letter c then block v maps by v's map after c's, and for
+    c = 0 it takes v's row, so c counts down.
+    """
+    n, r = A.n, A.r
+    b = 4 if r == 2 else 2
+    t = k % b
+    table = np.empty((r ** b + (r ** t if t else 0), n), dtype=np.int64)
+    table[0] = np.arange(n)
+    for j in range(b):
+        if j == t:  # rows below r**t hold the tails
+            table[r ** b:] = table[:len(table) - r ** b]
+        for c in range(r - 1, -1, -1):
+            for i in range(r ** j):
+                table[c * r ** j + i] = table[i][A.delta[c]]
+    return table.ravel(), b
+
+
+def _block_offsets(letters, r, b, n):
+    """Offsets into the flat block table of the blocks of each row of a
+    (B, k) letter array, tail last, as a (ceil(k/b), B) array."""
+    k = letters.shape[1]
+    rows = [letters[:, j:j + b] @ r ** np.arange(min(b, k - j))[::-1]
+            for j in range(0, k, b)]
+    if k % b:
+        rows[-1] += r ** b
+    return np.array(rows) * n
+
+
+def _map(table, offs, x):
+    """x mapped by the words whose block offsets are the rows of offs."""
+    for o in offs:
+        x = table[o + x]
+    return x
+
+
 def _walk_ends(table, offs, x, target=None):
     """Brent's cycle detection (BIT 20, 1980) on many walks in lockstep.
 
-    Walk i starts at x[i] and steps by table[offs[j, i] + state] for each
-    row j of offs, one word map per step. It ends when its tortoise and
-    hare meet, or when the hare reaches target[i]; finished walks are
-    compacted out. Returns (end, cycle): the hare's final state and the
-    length of the cycle found, which is exact when the walk ended on a
-    meeting. All walks start together, so the tortoise moves to the hare
-    at the same steps for all of them.
+    Walk i starts at x[i] and steps by the word with block offsets
+    offs[:, i]. It has met once its tortoise and hare meet, or its hare
+    reaches target[i], a fixed point; its hare then stays on its cycle.
+    Walks that met are dropped once per window, when the tortoise jumps
+    (at the same steps for all walks), or when all have met. Returns
+    (end, fixed): the hare's last state, on the walk's cycle, and whether
+    that state is fixed.
     """
     end = np.empty(x.size, dtype=np.int64)
-    cycle = np.empty(x.size, dtype=np.int64)
     live = np.arange(x.size)
-    tort = x
-    hare = x
-    for o in offs:
-        hare = table[o + hare]
+    all_offs, tort, hare = offs, x, x
+    met = np.zeros(x.size, dtype=bool)
     power = lam = 1
     while live.size:
-        done = tort == hare
+        hare = _map(table, offs, hare)
+        met |= tort == hare
         if target is not None:
-            done |= hare == target
-        if done.any():
-            ended = live[done]
-            end[ended] = hare[done]
-            cycle[ended] = lam
-            keep = ~done
-            live, tort, hare, offs = live[keep], tort[keep], hare[keep], offs[:, keep]
+            met |= hare == target
+        if lam == power or met.all():
+            end[live[met]] = hare[met]
+            keep = ~met
+            live, hare, offs, met = live[keep], hare[keep], offs[:, keep], met[keep]
             if target is not None:
                 target = target[keep]
-        if lam == power:
-            tort = hare
-            power *= 2
-            lam = 0
-        for o in offs:
-            hare = table[o + hare]
+            tort, power, lam = hare, 2 * power, 0
         lam += 1
-    return end, cycle
+    return end, _map(table, all_offs, end) == end
 
 
 def _tree_words(A, k, batches):
     """(word, height, root) for the tree words among the batches, in order.
 
-    One table holds the r*r two-letter maps and, after them, the r letters,
-    so a word map is ceil(k/2) gathers. A loop-rooted tree has one cycle, a
-    fixed point, so every rejection below is a proof. Stage 1 walks state 0
-    under every word and drops the words whose walk ends on a longer cycle;
-    stage 2 walks _STARTS spread states under each survivor and drops it
-    unless each walk reaches stage 1's fixed point. Only the words left get
-    a full map, tested by loop_root.
+    A word map is ceil(k/b) gathers through _block_table, 4 at k = 16 on
+    two letters. A loop-rooted tree has one cycle, a fixed point, so each
+    rejection below is a proof. Stage 1 walks state 0 under every word and
+    drops the words whose walk ends on a longer cycle; stage 2 walks
+    _STARTS spread states under each survivor and drops it unless each
+    walk reaches stage 1's fixed point. Only the words left get a full
+    map, tested by loop_root.
     """
     n, r = A.n, A.r
-    delta = A.delta
-    table = np.empty((r * r + r, n), dtype=np.int64)
-    for a in range(r):
-        table[a * r:(a + 1) * r] = delta[:, delta[a]]  # row a*r+b maps by ab
-    table[r * r:] = delta
-    table = table.ravel()
+    table, b = _block_table(A, k)
     starts = np.unique(np.linspace(0, n - 1, _STARTS).astype(np.int64))
     for letters in batches:
-        rows = [letters[:, j] * r + letters[:, j + 1] for j in range(0, k - 1, 2)]
-        if k % 2:
-            rows.append(r * r + letters[:, -1])
-        offs = np.array(rows) * n  # (ceil(k/2), batch size)
-        end, cycle = _walk_ends(table, offs, np.zeros(len(letters), dtype=np.int64))
-        fixed = np.flatnonzero(cycle == 1)
+        offs = _block_offsets(letters, r, b, n)
+        end, fixed = _walk_ends(table, offs, np.zeros(len(letters), dtype=np.int64))
+        fixed = np.flatnonzero(fixed)
         roots = np.repeat(end[fixed], starts.size)
         end, _ = _walk_ends(table, np.repeat(offs[:, fixed], starts.size, axis=1),
                             np.tile(starts, fixed.size), roots)
         for i in fixed[(end == roots).reshape(-1, starts.size).all(axis=1)]:
-            maps = [table[o:o + n] for o in offs[:, i]]
-            f = maps[0]
-            for g in maps[1:]:
-                f = g[f]
+            f = _map(table, offs[:, i], np.arange(n))
             root = loop_root(f)
             if root is not None:
                 yield Word(letters[i].tolist()), height(FunctionalGraph(f)), root

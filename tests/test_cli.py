@@ -260,6 +260,10 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     for name, key, value in (("height", "trials", "5"), ("height", "trials", 2.5),
                              ("scaling", "epsilon", "x"),
                              ("height", "k_rule", {"type": "log2", "epsilon": 1e999}),
+                             ("height", "k_rule", {"type": "explicit", "value": True}),
+                             ("height", "k_rule", {"type": "explicit", "value": "5"}),
+                             ("height", "k_rule", {"type": "log2", "epsilon": True}),
+                             ("height", "k_rule", {"type": "ln", "factor": "2"}),
                              ("height", "seed", 1.5), ("height", "seed", True),
                              ("height", "sizes", [8.5]), ("scaling", "budget", True),
                              ("scaling", "budget", 2.5), ("scaling", "budget", "3"),

@@ -238,6 +238,104 @@ def test_iter_tree_words_matches_reference_engine(n, r, seed, epsilon, budget):
     assert list(islice(got, 8)) == list(islice(expect, 8))
 
 
+# the first hits of the bench's reset_large automata, random_automaton(10**4,
+# seed=s) for s = 0..5 at k = 16: (word, height, root)
+_FIRST_HITS_N1E4 = [
+    ("aaaabaabbaabbbbb", 63, 6788),
+    ("aaaaaaabbaabaaab", 63, 7730),
+    ("aaaabbabababaaab", 66, 2876),
+    ("aaaaaaababbbbaab", 43, 5614),
+    ("aaaaababaababaab", 63, 1729),
+    ("aaaaaabbbaabaabb", 73, 2321),
+]
+
+
+@pytest.mark.parametrize("seed, hit", enumerate(_FIRST_HITS_N1E4))
+def test_first_tree_words_frozen_at_bench_scale(seed, hit):
+    w, H, root = find_tree_word(random_automaton(10**4, seed=seed), 16)
+    assert (w.text, H, root) == hit
+
+
+def _check_walk_ends(table, offs, x, target=None):
+    # each walk against plain iteration of its word's map: the walk ends on
+    # its cycle, or on its target when the orbit reaches it
+    n = table.shape[1]
+    end, fixed = sync._walk_ends(table.ravel(), offs * n, x, target)
+    assert end.shape == fixed.shape == x.shape
+    for i in range(x.size):
+        f = np.arange(n)
+        for o in offs[:, i]:
+            f = table[o][f]
+        orbit = [int(x[i])]
+        while f[orbit[-1]] not in orbit:
+            orbit.append(int(f[orbit[-1]]))
+        cycle = orbit[orbit.index(f[orbit[-1]]):]
+        if target is not None and target[i] in orbit:
+            assert end[i] == target[i]
+        else:
+            assert end[i] in cycle and (target is None or end[i] != target[i])
+        assert fixed[i] == (len(cycle) == 1)
+
+
+def test_walk_ends_match_plain_iteration():
+    # 0 and 3 are fixed, 1 <-> 2 is a 2-cycle, 4 -> 3 and 5 -> 1
+    table = np.array([[0, 2, 1, 3, 3, 1]])
+    x = np.array([0, 1, 5, 4, 3, 0, 1])
+    offs = np.zeros((1, x.size), dtype=np.int64)
+    end, fixed = sync._walk_ends(table.ravel(), offs, x)
+    assert end[[0, 3, 4, 5]].tolist() == [0, 3, 3, 0]
+    assert fixed.tolist() == [True, False, False, True, True, True, False]
+    _check_walk_ends(table, offs, x)
+    # start == target (x = 0 and 3), reached (4 -> 3), unreachable (the rest)
+    target = np.array([0, 0, 3, 3, 3, 3, 3])
+    end, _ = sync._walk_ends(table.ravel(), offs, x, target)
+    assert (end == target).tolist() == [True, False, False, True, True, False, False]
+    _check_walk_ends(table, offs, x, target)
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n = int(rng.integers(1, 51))
+        blocks, steps, walks = (int(v) for v in rng.integers(1, [5, 4, 40]))
+        if rng.random() < 0.5:
+            table = rng.integers(0, n, size=(blocks, n))
+        else:  # permutations: long cycles, many Brent windows
+            table = np.array([rng.permutation(n) for _ in range(blocks)])
+        offs = rng.integers(0, blocks, size=(steps, walks))
+        x = rng.integers(0, n, size=walks)
+        _check_walk_ends(table, offs, x)
+        # walks whose word has a fixed point, aimed at one of them
+        maps = [np.arange(n)] * walks
+        for row in offs:
+            maps = [table[o][f] for o, f in zip(row, maps)]
+        has = [i for i, f in enumerate(maps) if (f == np.arange(n)).any()]
+        target = np.array([rng.choice(np.flatnonzero(maps[i] == np.arange(n)))
+                           for i in has], dtype=np.int64)
+        _check_walk_ends(table, offs[:, has], x[has], target)
+
+
+def test_block_table_rows_are_block_maps():
+    # r = 2 uses 4-letter blocks and r = 3 two-letter ones; k runs through
+    # every k mod b, k < b included, and the tail rows follow the blocks
+    for r, b in ((2, 4), (3, 2)):
+        A = random_automaton(13, r, seed=r)
+        for k in range(1, 2 * b + 1):
+            table, got = sync._block_table(A, k)
+            table = table.reshape(-1, A.n)
+            t = k % b
+            assert got == b and table.dtype == np.int64
+            words = list(itertools.product(range(r), repeat=b))
+            if t:
+                words += itertools.product(range(r), repeat=t)
+            assert len(table) == len(words)
+            for row, u in zip(table, words):
+                assert (row == apply_word_all(A, Word(u))).all()
+            letters = sync._lex_letters(0, min(r ** k, 100), r, k)
+            offs = sync._block_offsets(letters, r, b, A.n)
+            assert offs.shape == (-(-k // b), len(letters))
+            for i, u in enumerate(letters.tolist()):
+                f = sync._map(table.ravel(), offs[:, i], np.arange(A.n))
+                assert (f == apply_word_all(A, Word(u))).all()
+
+
 def test_pick_tree_length():
     assert pick_tree_length(512) == 11
     assert pick_tree_length(2) == 2
