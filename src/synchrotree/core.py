@@ -7,6 +7,8 @@ reads it left to right: the image of u under "ab" is b(a(u)).
 
 import functools
 import itertools
+import math
+import numbers
 import operator
 import re
 import string
@@ -66,6 +68,17 @@ def as_index(x, what):
         except TypeError:
             pass
     raise ValueError("%s must be integers" % what)
+
+
+def is_finite_number(x):
+    """True for a finite real number other than a bool. An int past float
+    range is refused, where math.isfinite raises OverflowError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 class Word:

@@ -25,6 +25,7 @@ from .core import (
     are_conjugate,
     is_w_tree,
     height,
+    is_finite_number,
     one_letter_view,
     parse_word,
     random_automaton,
@@ -84,12 +85,12 @@ class ExperimentConfig:
             if not (_is_whole(self.budget) and self.budget >= 0):
                 raise ValueError("budget: expected null or a whole number >= 0")
             object.__setattr__(self, "budget", int(self.budget))
-        if not (_is_number(self.epsilon) and math.isfinite(self.epsilon)):
+        if not is_finite_number(self.epsilon):
             raise ValueError("epsilon: expected a finite number")
         rule = tuple(self.k_rule)
         if rule[0] not in ("explicit", "log2", "ln") or len(rule) != 2:
             raise ValueError("k_rule: expected (explicit|log2|ln, value)")
-        if not (_is_number(rule[1]) and math.isfinite(rule[1])):
+        if not is_finite_number(rule[1]):
             raise ValueError("k_rule: value must be a finite number")
         value = float(rule[1])
         if rule[0] == "explicit" and not (value.is_integer() and value >= 1):

@@ -3,18 +3,22 @@ oracles to validate them.
 
 The fast route: find a word w whose one-letter view is a loop-rooted tree,
 measure its height H, and emit w^H, which drags every state into the root.
-A tree's one cycle is a fixed point, so the search first walks single
-states under batches of candidate words in lockstep, with Brent's cycle
-detection, and drops each word whose walk proves another cycle; a word map
-is one gather per b-letter block, b = 4 on two letters. Only the words
-left get a full map; the tree test and the height come from core's
-functional-graph kernel, loop_root and height. The oracles: a
+The rotations of a tree word are tree words, so the search scans only the
+least word of each rotation class, in batches of 1024 to 4096 indices, and
+maps a hit's other rotations once the scan passes them. A tree's one cycle
+is a fixed point, so the search first walks single states under a batch's
+words in lockstep, with Brent's cycle detection, and drops each word whose
+walk proves another cycle; a word map is one gather per b-letter block,
+b = 4 on two letters. Only the words left get a full map; the tree test
+and the height come from core's functional-graph kernel, loop_root and
+height. The oracles: a
 power-set BFS for exact shortest words on tiny automata, a pair-merging
 check for synchronizability, and a cubic greedy fallback (Eppstein 1990).
 The last two share one table of shortest merging words per state pair,
 held in flat numpy arrays of size n*n.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -28,6 +32,7 @@ from .core import (
     as_index,
     format_word,
     height,
+    is_finite_number,
     loop_root,
 )
 
@@ -70,55 +75,68 @@ def is_synchronizing(A, word):
     return None
 
 
+_FIRST_BATCH = 1024
 _MAX_BATCH = 4096
 _STARTS = 16  # stage-2 start states per word
 
 
-def _lex_letters(first, count, r, k):
-    """(count, k) letters of the words of index first, first+1, ... in
-    lexicographic order, an index being the word read as a base-r number.
+def _lex_codes(first, count, r, k):
+    """The indices first, ..., first+count-1 of the words of length k in
+    lexicographic order, a word's index being its base-r number: int64
+    while r**k < 2**63, Python ints in an object array beyond."""
+    dtype = np.int64 if r ** k < 2 ** 63 else object
+    return np.arange(first, first + count, dtype=dtype)
 
-    The low digits are worked in int64. The high ones are the same for the
-    whole batch up to one carry, and are worked as Python ints, so r**k may
-    exceed int64.
+
+def _lex_letters(codes, r, k):
+    """(B, k) letters of the words whose indices are codes."""
+    digits = [codes // r ** i % r for i in range(k - 1, -1, -1)]
+    return np.stack(digits, axis=1).astype(np.int64)
+
+
+def _rotate(c, r, k, d):
+    """The index of the word of index c, or of each in an array, with its
+    first d letters moved to its end."""
+    return c % r ** (k - d) * r ** d + c // r ** (k - d)
+
+
+def _rotation_classes(codes, r, k):
+    """(least, periodic) for the words whose indices are codes: whether
+    each is strictly less than each of its proper rotations, and whether it
+    equals one of them, being a power of a shorter word; a word equal to a
+    rotation equals one by a divisor of k.
     """
-    low = min(k, 40 // r.bit_length())  # r**low < 2**40
-    high, lo = divmod(first, r ** low)
-    idx = lo + np.arange(count, dtype=np.int64)
-    carry = idx // r ** low  # 0 or 1
-    digits = [idx // r ** i % r for i in range(low)]
-    digits += [np.where(carry, (high + 1) // r ** i % r, high // r ** i % r)
-               for i in range(k - low)]
-    return np.stack(digits[::-1], axis=1)
-
-
-def _self_conjugate_rows(letters):
-    """Which rows of a (B, k) letter array are powers of a shorter word."""
-    k = letters.shape[1]
-    out = np.zeros(letters.shape[0], dtype=bool)
+    least = np.ones(codes.size, dtype=bool)
+    periodic = np.zeros(codes.size, dtype=bool)
     for d in range(1, k):
+        rot = _rotate(codes, r, k, d)
+        least &= codes < rot
         if k % d == 0:
-            out |= (np.roll(letters, -d, axis=1) == letters).all(axis=1)
-    return out
+            periodic |= codes == rot
+    return least, periodic
 
 
-def _word_batches(A, k, budget):
-    """The first budget non-self-conjugate words of length k, in
-    lexicographic order, as (B, k) letter arrays of up to 64, 128, ... rows."""
-    r = A.r
+def _word_batches(r, k, budget):
+    """The scan of the first budget non-self-conjugate words of length k,
+    in lexicographic order, in batches of 1024, 2048 and then 4096 words.
+
+    Yields (end, codes) per batch: the index the scan has reached, and the
+    indices of the batch's words that are strictly less than each of their
+    proper rotations, one per conjugacy class. Every non-self-conjugate
+    word counts against budget.
+    """
     total = r ** k
     left = math.inf if budget is None else budget
-    size = 64
+    size = _FIRST_BATCH
     first = 0
     while first < total and left > 0:
         count = min(size, left, total - first)
-        letters = _lex_letters(first, count, r, k)
+        codes = _lex_codes(first, count, r, k)
         first += count
-        letters = letters[~_self_conjugate_rows(letters)]
-        left -= len(letters)
+        least, periodic = _rotation_classes(codes, r, k)
+        left -= count - np.count_nonzero(periodic)
         size = min(2 * size, _MAX_BATCH)
-        if len(letters):
-            yield letters
+        yield first, codes[least]
 
 
 def _block_table(A, k):
@@ -194,20 +212,25 @@ def _walk_ends(table, offs, x, target=None):
 
 
 def _tree_words(A, k, batches):
-    """(word, height, root) for the tree words among the batches, in order.
+    """(word, height, root) for the tree words of the scan, in order.
 
-    A word map is ceil(k/b) gathers through _block_table, 4 at k = 16 on
-    two letters. A loop-rooted tree has one cycle, a fixed point, so each
-    rejection below is a proof. Stage 1 walks state 0 under every word and
-    drops the words whose walk ends on a longer cycle; stage 2 walks
-    _STARTS spread states under each survivor and drops it unless each
-    walk reaches stage 1's fixed point. Only the words left get a full
-    map, tested by loop_root.
+    Maps X and Y of a finite set give XY and YX the same cycle type on
+    their periodic points, so a rotation of a tree word is a tree word and
+    the batches hold only the least word of each class. A word map is
+    ceil(k/b) gathers through _block_table, 4 at k = 16 on two letters. A
+    loop-rooted tree has one cycle, a fixed point, so each rejection below
+    is a proof. Stage 1 walks state 0 under every word and drops the words
+    whose walk ends on a longer cycle; stage 2 walks _STARTS spread states
+    under each survivor and drops it unless each walk reaches stage 1's
+    fixed point. Only the words left get a full map, tested by loop_root.
+    A hit's other rotations wait in a heap until the scan passes them.
     """
     n, r = A.n, A.r
     table, b = _block_table(A, k)
     starts = np.unique(np.linspace(0, n - 1, _STARTS).astype(np.int64))
-    for letters in batches:
+    pending = []  # (index, letters) of hit rotations the scan has not passed
+    for scanned, codes in batches:
+        letters = _lex_letters(codes, r, k)
         offs = _block_offsets(letters, r, b, n)
         end, fixed = _walk_ends(table, offs, np.zeros(len(letters), dtype=np.int64))
         fixed = np.flatnonzero(fixed)
@@ -218,12 +241,30 @@ def _tree_words(A, k, batches):
             f = _map(table, offs[:, i], np.arange(n))
             root = loop_root(f)
             if root is not None:
-                yield Word(letters[i].tolist()), height(FunctionalGraph(f)), root
+                c = int(codes[i])
+                yield from _rotations_below(A, pending, c)
+                w = letters[i].tolist()
+                yield Word(w), height(FunctionalGraph(f)), root
+                for d in range(1, k):
+                    heapq.heappush(pending, (_rotate(c, r, k, d), w[d:] + w[:d]))
+        yield from _rotations_below(A, pending, scanned)
+
+
+def _rotations_below(A, pending, c):
+    """(word, height, root) for the pending rotations of index below c,
+    popped in order; each is mapped only now."""
+    while pending and pending[0][0] < c:
+        w = Word(heapq.heappop(pending)[1])
+        f = apply_word_all(A, w)
+        root = loop_root(f)
+        if root is None:
+            raise RuntimeError("a rotation of a tree word is not a tree: %s" % w.text)
+        yield w, height(FunctionalGraph(f)), root
 
 
 def iter_tree_words(A, k, budget=None):
     """(word, height, root) for every word of length k whose one-letter
-    view is a loop-rooted tree, scanning the non-self-conjugate words in
+    view is a loop-rooted tree, among the non-self-conjugate words in
     lexicographic order; budget, a whole number >= 0, caps the words scanned.
     """
     if k < 1:
@@ -232,7 +273,7 @@ def iter_tree_words(A, k, budget=None):
         budget = as_index(budget, "budget")
         if budget < 0:
             raise ValueError("budget must be >= 0")
-    return _tree_words(A, k, _word_batches(A, k, budget))
+    return _tree_words(A, k, _word_batches(A.r, k, budget))
 
 
 def find_tree_word(A, k, budget=None):
@@ -243,7 +284,7 @@ def find_tree_word(A, k, budget=None):
 def pick_tree_length(n, epsilon=0.2):
     """Word length for the tree search: ceil((1+epsilon) log2 n), floored
     at 1 and capped at ceil(2 log2 n)."""
-    if not math.isfinite(epsilon):
+    if not is_finite_number(epsilon):
         raise ValueError("epsilon must be finite, got %r" % (epsilon,))
     k = math.ceil((1 + epsilon) * math.log2(n))
     return max(1, min(k, math.ceil(2 * math.log2(n))))

@@ -264,6 +264,11 @@ def test_missing_and_malformed_files(tmp_path, capsys):
                              ("height", "k_rule", {"type": "explicit", "value": "5"}),
                              ("height", "k_rule", {"type": "log2", "epsilon": True}),
                              ("height", "k_rule", {"type": "ln", "factor": "2"}),
+                             # ints past float range, which math.isfinite cannot take
+                             ("height", "epsilon", 10**400),
+                             ("height", "k_rule", {"type": "explicit", "value": 10**400}),
+                             ("height", "k_rule", {"type": "log2", "epsilon": 10**400}),
+                             ("height", "k_rule", {"type": "ln", "factor": -10**400}),
                              ("height", "seed", 1.5), ("height", "seed", True),
                              ("height", "sizes", [8.5]), ("scaling", "budget", True),
                              ("scaling", "budget", 2.5), ("scaling", "budget", "3"),

@@ -145,8 +145,9 @@ def _cli_tree_words_all(A, k):
 
 @st.composite
 def _small_searches(draw):
-    # k up to 9 crosses the 64/128/256-word batch boundaries at r = 2; at
-    # r = 3 it stops at 6 to keep tier-1 time down
+    # k up to 9 has 512 words at r = 2; at r = 3 it stops at 6 (729 words)
+    # to keep tier-1 time down. Both fit the first 1024-word batch, so the
+    # batch boundaries are crossed by drawing a smaller first batch.
     A = draw(_small_automata())
     return A, draw(st.integers(1, 9 if A.r == 2 else 6))
 
@@ -155,21 +156,110 @@ def _small_searches(draw):
 @given(
     search=_small_searches(),
     budget=st.one_of(st.none(), st.integers(0, 600)),
+    first_batch=st.sampled_from([1, 5, 64, sync._FIRST_BATCH]),
 )
-def test_iter_tree_words_matches_brute_force(search, budget):
-    # odd k ends on a single letter, and budgets cut batches
+def test_iter_tree_words_matches_brute_force(search, budget, first_batch):
+    # odd k ends on a single letter, budgets cut batches, and the rotations
+    # of a hit wait across batch boundaries
     A, k = search
     ranked = _reference_tree_words(A, k)
     everything = [hit for _, hit in ranked]
     expect = [hit for i, hit in ranked if budget is None or i < budget]
-    assert list(iter_tree_words(A, k, budget=budget)) == expect
-    assert find_tree_word(A, k, budget=budget) == (expect[0] if expect else None)
-    rc, doc = _cli_tree_words_all(A, k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sync, "_FIRST_BATCH", first_batch)
+        assert list(iter_tree_words(A, k, budget=budget)) == expect
+        assert find_tree_word(A, k, budget=budget) == (expect[0] if expect else None)
+        rc, doc = _cli_tree_words_all(A, k)
     assert rc == (0 if everything else 1)
     assert doc == {
         "k": k,
         "words": [{"word": w.text, "H": h, "root": r} for w, h, r in everything],
     }
+
+
+# A6 has one class of tree words of length 5: aaabb, examined at rank 2,
+# is its least word, and its other rotations come at ranks 5, 11, 16, 23
+A6 = random_automaton(6, seed=18)
+_A6_CLASS = [(2, "aaabb"), (5, "aabba"), (11, "abbaa"), (16, "baaab"), (23, "bbaaa")]
+
+
+def test_budget_ends_between_a_hit_and_its_rotations():
+    ranked = _reference_tree_words(A6, 5)
+    assert [(i, hit[0].text) for i, hit in ranked] == _A6_CLASS
+    for first_batch in (1, 4, sync._FIRST_BATCH):
+        for budget in (0, 2, 3, 6, 11, 12, 17, 24, None):
+            expect = [hit for i, hit in ranked if budget is None or i < budget]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sync, "_FIRST_BATCH", first_batch)
+                assert list(iter_tree_words(A6, 5, budget=budget)) == expect
+
+
+def test_rotation_that_is_no_tree_raises(monkeypatch):
+    # only the least word's map is let through as a tree, so its first
+    # rotation fails, but only once the scan reaches it and maps it
+    least = apply_word_all(A6, Word("aaabb"))
+    real = sync.loop_root
+    monkeypatch.setattr(sync, "loop_root",
+                        lambda f: real(f) if (f == least).all() else None)
+    assert [w.text for w, _, _ in iter_tree_words(A6, 5, budget=3)] == ["aaabb"]
+    hits = iter_tree_words(A6, 5, budget=6)
+    assert next(hits)[0] == Word("aaabb")
+    with pytest.raises(RuntimeError):
+        next(hits)
+
+
+def _index(word, r):
+    return int("".join(map(str, word)), r)
+
+
+_ROW_TEST_SHAPES = [(r, k) for r in (2, 3) for k in range(1, 13)] + [(3, 60), (2, 100)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), shape=st.sampled_from(_ROW_TEST_SHAPES))
+def test_rotation_classes_match_brute_force(data, shape):
+    # a batch anywhere in the index range, r**k beyond int64 included
+    r, k = shape
+    first = data.draw(st.integers(0, r ** k - 1))
+    count = data.draw(st.integers(1, min(300, r ** k - first)))
+    codes = sync._lex_codes(first, count, r, k)
+    least, periodic = sync._rotation_classes(codes, r, k)
+    letters = sync._lex_letters(codes, r, k).tolist()
+    assert least.shape == periodic.shape == (count,)
+    for i, w in enumerate(letters):
+        rotations = [_index(w[d:] + w[:d], r) for d in range(1, k)]
+        assert least[i] == all(first + i < c for c in rotations)
+        assert periodic[i] == is_self_conjugate(w) == (first + i in rotations)
+    # the count the budget is charged
+    nc = sum(not is_self_conjugate(w) for w in letters)
+    assert count - np.count_nonzero(periodic) == nc
+
+
+def test_iter_tree_words_yield_whole_rotation_classes():
+    # every rotation of a hit that the budget's scan reaches is yielded,
+    # in index order, with the height and root of its own map
+    rotations_seen = 0
+    for seed in range(16):
+        n, r = (60, 300, 1000, 3000)[seed % 4], 2 + seed % 2
+        A = random_automaton(n, r, seed=seed)
+        k = pick_tree_length(n, (0.2, 0.5, 1.0)[seed % 3])
+        budget = (150, 700, 3000)[seed % 3]
+        words = itertools.product(range(r), repeat=k)
+        nc = (w for w in words if not is_self_conjugate(w))
+        last = next(islice(nc, budget - 1, None), None)
+        end = r ** k if last is None else _index(last, r) + 1
+        hits = list(iter_tree_words(A, k, budget=budget))
+        index = [_index(w, r) for w, _, _ in hits]
+        assert index == sorted(set(index)) and all(i < end for i in index)
+        for w, H, root in hits:
+            f = apply_word_all(A, w)
+            assert (H, root) == (height(FunctionalGraph(f)), loop_root(f))
+            for d in range(1, k):
+                rotation = _index(w.letters[d:] + w.letters[:d], r)
+                assert (rotation in index) == (rotation < end)
+        rotations_seen += sum(any(w.letters[d:] + w.letters[:d] < w.letters
+                                  for d in range(1, k)) for w, _, _ in hits)
+    assert rotations_seen >= 10
 
 
 def test_lex_letters_match_base_r_indices():
@@ -178,7 +268,7 @@ def test_lex_letters_match_base_r_indices():
     for r, k, first in ((2, 9, 448), (3, 6, 700), (2, 24, 2**20 - 100),
                         (3, 60, 2 * 3**59 + 3**20 - 7), (2, 100, 2**99 - 5)):
         count = min(4096, r ** k - first)
-        letters = sync._lex_letters(first, count, r, k)
+        letters = sync._lex_letters(sync._lex_codes(first, count, r, k), r, k)
         assert letters.shape == (count, k)
         for i, row in enumerate(letters.tolist()):
             assert int("".join(map(str, row)), r) == first + i
@@ -328,7 +418,7 @@ def test_block_table_rows_are_block_maps():
             assert len(table) == len(words)
             for row, u in zip(table, words):
                 assert (row == apply_word_all(A, Word(u))).all()
-            letters = sync._lex_letters(0, min(r ** k, 100), r, k)
+            letters = sync._lex_letters(sync._lex_codes(0, min(r ** k, 100), r, k), r, k)
             offs = sync._block_offsets(letters, r, b, A.n)
             assert offs.shape == (-(-k // b), len(letters))
             for i, u in enumerate(letters.tolist()):
@@ -345,7 +435,7 @@ def test_pick_tree_length():
     for n in (2, 5, 64, 1000):
         k = pick_tree_length(n)
         assert 1 <= k <= math.ceil(2 * math.log2(n))
-    for epsilon in (math.inf, -math.inf, math.nan):
+    for epsilon in (math.inf, -math.inf, math.nan, 10**400):
         with pytest.raises(ValueError):
             pick_tree_length(64, epsilon)
 
