@@ -62,6 +62,8 @@ def _text_to_letters(text):
 def as_index(x, what):
     """x as an int, for ints and numpy integers; ValueError naming what
     otherwise. bool is an int subclass, but true is no letter or state."""
+    if type(x) is int:
+        return x
     if not isinstance(x, bool):
         try:
             return operator.index(x)
@@ -204,6 +206,18 @@ def random_nc_word(k, r, rng):
             return w
 
 
+def _int64_copy(arr, n, what):
+    """The fresh array arr as read-only int64 in range(n); floats, bools
+    and strings are refused rather than truncated, with ValueError."""
+    if arr.dtype.kind not in "iu":
+        raise ValueError("%s must be an integer" % what)
+    arr = arr.astype(np.int64, copy=False)
+    if arr.view(np.uint64).max() >= n:  # one reduction: negatives wrap past n
+        raise ValueError("%s out of range" % what)
+    arr.setflags(write=False)
+    return arr
+
+
 class Automaton:
     """A complete deterministic transition table over an r-letter alphabet.
 
@@ -215,7 +229,7 @@ class Automaton:
     __slots__ = ("n", "r", "delta", "_rows", "_hash")
 
     def __init__(self, delta):
-        arr = np.array(delta, dtype=np.int64)
+        arr = np.array(delta)
         if arr.ndim != 2:
             raise ValueError("delta must be a 2d table, one row per letter")
         r, n = arr.shape
@@ -223,9 +237,7 @@ class Automaton:
             raise ValueError("need at least one state")
         if r < 2:
             raise ValueError("need at least two letters")
-        if arr.min() < 0 or arr.max() >= n:
-            raise ValueError("transition target out of range")
-        arr.setflags(write=False)
+        arr = _int64_copy(arr, n, "transition target")
         self.delta = arr
         self.n = n
         self.r = r
@@ -324,6 +336,7 @@ def _check_word(A, word):
 def apply_word(A, state, word):
     """The image of one state under the word, read left to right."""
     _check_word(A, word)
+    state = as_index(state, "states")
     if not 0 <= state < A.n:
         raise ValueError("state out of range")
     rows = A.rows
@@ -386,8 +399,10 @@ def thread(A, u, r, word):
     """
     _check_word(A, word)
     k = len(word)
+    u = as_index(u, "states")
     if not 0 <= u < A.n:
         raise ValueError("state out of range")
+    r = as_index(r, "congruences")
     if not 0 <= r < k:
         raise ValueError("congruence out of range")
     rows = A.rows
@@ -415,15 +430,13 @@ class FunctionalGraph:
     __slots__ = ("n", "succ")
 
     def __init__(self, succ):
-        arr = np.asarray(succ, dtype=np.int64)
+        arr = np.array(succ)
         if arr.ndim != 1:
             raise ValueError("succ must be one-dimensional")
         n = arr.shape[0]
         if n < 1:
             raise ValueError("need at least one vertex")
-        if arr.min() < 0 or arr.max() >= n:
-            raise ValueError("successor out of range")
-        arr.setflags(write=False)
+        arr = _int64_copy(arr, n, "successor")
         self.succ = arr
         self.n = n
 
@@ -485,9 +498,9 @@ def height(F):
     while front.size:
         t += 1
         rank[front] = t
-        heads, count = np.unique(succ[front], return_counts=True)
-        indeg[heads] -= count
-        front = heads[indeg[heads] == 0]
+        heads = succ[front]
+        np.subtract.at(indeg, heads, 1)
+        front = np.unique(heads[indeg[heads] == 0])
     # cycle lengths by pointer doubling with min labels, on the cyclic points
     cyc = np.flatnonzero(rank == 0)
     pos = np.zeros(n, dtype=np.int64)

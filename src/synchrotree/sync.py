@@ -7,10 +7,10 @@ The rotations of a tree word are tree words, so the search scans only the
 least word of each rotation class, in batches of 1024 to 4096 indices, and
 maps a hit's other rotations once the scan passes them. A tree's one cycle
 is a fixed point, so the search first walks single states under a batch's
-words in lockstep, with Brent's cycle detection, and drops each word whose
-walk proves another cycle; a word map is one gather per b-letter block,
-b = 4 on two letters. Only the words left get a full map; the tree test
-and the height come from core's functional-graph kernel, loop_root and
+words in lockstep, each to its first repeated state, and drops each word
+whose walk proves another cycle; a word map is one gather per b-letter
+block, b = 4 on two letters. Only the words left get a full map; the tree
+test and the height come from core's functional-graph kernel, loop_root and
 height. The oracles: a
 power-set BFS for exact shortest words on tiny automata, a pair-merging
 check for synchronizability, and a cubic greedy fallback (Eppstein 1990).
@@ -78,6 +78,7 @@ def is_synchronizing(A, word):
 _FIRST_BATCH = 1024
 _MAX_BATCH = 4096
 _STARTS = 16  # stage-2 start states per word
+_CHECK = 16  # walk steps between the checks for walks that have ended
 
 
 def _lex_codes(first, count, r, k):
@@ -180,35 +181,39 @@ def _map(table, offs, x):
 
 
 def _walk_ends(table, offs, x, target=None):
-    """Brent's cycle detection (BIT 20, 1980) on many walks in lockstep.
+    """Many walks in lockstep, each to its first repeated state.
 
     Walk i starts at x[i] and steps by the word with block offsets
-    offs[:, i]. It has met once its tortoise and hare meet, or its hare
-    reaches target[i], a fixed point; its hare then stays on its cycle.
-    Walks that met are dropped once per window, when the tortoise jumps
-    (at the same steps for all walks), or when all have met. Returns
-    (end, fixed): the hare's last state, on the walk's cycle, and whether
-    that state is fixed.
+    offs[:, i]. path holds the live walks' states, one row per step. Every
+    _CHECK steps the walks whose state repeats an earlier one, so lies on
+    their cycle, are dropped, and so are those at target[i], a fixed point.
+    Returns (end, fixed): each walk's last state, on its cycle, and whether
+    it is fixed, which it is when it equals the state a step before.
     """
     end = np.empty(x.size, dtype=np.int64)
+    fixed = np.empty(x.size, dtype=bool)
     live = np.arange(x.size)
-    all_offs, tort, hare = offs, x, x
-    met = np.zeros(x.size, dtype=bool)
-    power = lam = 1
+    path = np.empty((4 * _CHECK, x.size), dtype=np.int64)
+    path[0] = x
+    s = 0
     while live.size:
-        hare = _map(table, offs, hare)
-        met |= tort == hare
+        if s + _CHECK >= len(path):
+            path = np.concatenate((path, np.empty_like(path)))
+        for s in range(s + 1, s + _CHECK + 1):
+            x = path[s] = _map(table, offs, x)
+        stop = (path[:s] == x).any(axis=0)
+        fix = path[s - 1] == x
         if target is not None:
-            met |= hare == target
-        if lam == power or met.all():
-            end[live[met]] = hare[met]
-            keep = ~met
-            live, hare, offs, met = live[keep], hare[keep], offs[:, keep], met[keep]
+            fix |= x == target
+            stop |= fix
+        if stop.any():
+            end[live[stop]] = x[stop]
+            fixed[live[stop]] = fix[stop]
+            keep = ~stop
+            live, x, offs, path = live[keep], x[keep], offs[:, keep], path[:, keep]
             if target is not None:
                 target = target[keep]
-            tort, power, lam = hare, 2 * power, 0
-        lam += 1
-    return end, _map(table, all_offs, end) == end
+    return end, fixed
 
 
 def _tree_words(A, k, batches):
@@ -219,10 +224,11 @@ def _tree_words(A, k, batches):
     the batches hold only the least word of each class. A word map is
     ceil(k/b) gathers through _block_table, 4 at k = 16 on two letters. A
     loop-rooted tree has one cycle, a fixed point, so each rejection below
-    is a proof. Stage 1 walks state 0 under every word and drops the words
-    whose walk ends on a longer cycle; stage 2 walks _STARTS spread states
-    under each survivor and drops it unless each walk reaches stage 1's
-    fixed point. Only the words left get a full map, tested by loop_root.
+    is a proof. Stage 1 walks state 0 under every word to a repeated state
+    and drops the words whose walk ends on a longer cycle; stage 2 walks
+    _STARTS spread states under each survivor and drops it unless each walk
+    reaches stage 1's fixed point. Only the words left get a full map,
+    tested by loop_root.
     A hit's other rotations wait in a heap until the scan passes them.
     """
     n, r = A.n, A.r
@@ -244,7 +250,9 @@ def _tree_words(A, k, batches):
                 c = int(codes[i])
                 yield from _rotations_below(A, pending, c)
                 w = letters[i].tolist()
-                yield Word(w), height(FunctionalGraph(f)), root
+                F = FunctionalGraph(f)
+                del f  # F holds a copy; free f before height's n-sized arrays
+                yield Word(w), height(F), root
                 for d in range(1, k):
                     heapq.heappush(pending, (_rotate(c, r, k, d), w[d:] + w[:d]))
         yield from _rotations_below(A, pending, scanned)
@@ -255,11 +263,11 @@ def _rotations_below(A, pending, c):
     popped in order; each is mapped only now."""
     while pending and pending[0][0] < c:
         w = Word(heapq.heappop(pending)[1])
-        f = apply_word_all(A, w)
-        root = loop_root(f)
+        F = FunctionalGraph(apply_word_all(A, w))
+        root = loop_root(F.succ)
         if root is None:
             raise RuntimeError("a rotation of a tree word is not a tree: %s" % w.text)
-        yield w, height(FunctionalGraph(f)), root
+        yield w, height(F), root
 
 
 def iter_tree_words(A, k, budget=None):
@@ -303,11 +311,14 @@ def tree_sync_word(A, epsilon=0.2, budget=None):
     if found is None:
         return None
     w, H, root = found
-    # apply w's map H times: H gathers instead of |w|*H
+    # w's map to the power H by squaring, about 2*log2(H) gathers
     f = apply_word_all(A, w)
     images = np.arange(A.n, dtype=np.int64)
-    for _ in range(H):
-        images = f[images]
+    for bit in range(H.bit_length()):
+        if bit:
+            f = f[f]
+        if H >> bit & 1:
+            images = f[images]
     if not (images == root).all():
         raise RuntimeError("tree word repeated height times failed to reset")
     return SyncCertificate(

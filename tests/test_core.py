@@ -138,6 +138,25 @@ def test_automaton_validation():
         Automaton([[2, 0], [0, 0]])
     with pytest.raises(ValueError):
         Automaton([[0, 1]])
+    # a table must have an integer dtype: floats, bools and strings are
+    # refused, not truncated to states
+    for table in ([[0.5, 1], [1, 0]], [[1.9, 0], [0, 1]], np.ones((2, 2)),
+                  [[True, False], [False, True]], [["1", "0"], ["0", "1"]]):
+        with pytest.raises(ValueError, match="integer"):
+            Automaton(table)
+    assert Automaton(np.array([[1, 0], [0, 0]], dtype=np.uint8)) == A
+
+
+def test_functional_graph_copies_integer_input():
+    a = np.array([1, 0, 0])
+    F = FunctionalGraph(a)
+    assert a.flags.writeable and F.succ is not a and not F.succ.flags.writeable
+    assert F.succ.dtype == np.int64 and F.succ.tolist() == [1, 0, 0]
+    for succ in ([0.5, 0], [True, False], ["1", "0"], np.zeros(2)):
+        with pytest.raises(ValueError, match="integer"):
+            FunctionalGraph(succ)
+    with pytest.raises(ValueError, match="range"):
+        FunctionalGraph([0, 2])
 
 
 def test_rows_built_lazily_match_eager_rows():
@@ -192,6 +211,10 @@ def test_apply_word():
         apply_word(A3, 3, AB)
     with pytest.raises(ValueError):
         apply_word(A3, 0, Word((2,)))
+    assert apply_word(A3, np.int64(2), Word("b")) == 0
+    for state in (True, 2.0, "1"):
+        with pytest.raises(ValueError, match="integers"):
+            apply_word(A3, state, AB)
 
 
 def test_thread_a3():
@@ -204,6 +227,13 @@ def test_thread_a3():
     assert t.entries == ((2, 0), (0, 1), (0, 0), (1, 1))
     assert t.cut_time == 4 and t.twin_time == 2
     assert t.period == 1 and not t.is_cyclic
+
+
+def test_thread_takes_only_integer_states_and_congruences():
+    assert thread(A3, np.int64(2), np.int32(1), AB).start == (2, 1)
+    for u, r in ((True, 0), (0, True), (2.0, 0), (0, 1.0), ("0", 0)):
+        with pytest.raises(ValueError, match="integers"):
+            thread(A3, u, r, AB)
 
 
 def test_thread_identity_automaton():
@@ -333,10 +363,14 @@ def _reference_height(F):
 
 @st.composite
 def _maps(draw):
-    # arbitrary maps, loop-rooted trees, permutations, and permutations
-    # with some entries redirected, which keep several cycles with tails
+    # arbitrary maps, loop-rooted trees, permutations, permutations with
+    # some entries redirected, which keep several cycles with tails, and
+    # brooms
     n = draw(st.integers(1, 60))
-    kind = draw(st.sampled_from(["any", "tree", "perm", "mixed"]))
+    kind = draw(st.sampled_from(["any", "tree", "perm", "mixed", "broom"]))
+    if kind == "broom":
+        return _broom(draw(st.integers(1000, 5000)), draw(st.integers(1, 5)),
+                      draw(st.integers(0, 40)), draw(st.integers(0, 2**32)))
     if kind == "any":
         return draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     order = draw(st.permutations(range(n)))
@@ -349,6 +383,22 @@ def _maps(draw):
     if kind == "mixed":
         for v in draw(st.lists(st.integers(0, n - 1), max_size=n)):
             succ[v] = draw(st.integers(0, n - 1))
+    return succ
+
+
+def _broom(n, cyc, handle, seed):
+    # a cycle of cyc vertices, a handle of handle vertices down to it, and
+    # n - cyc - handle bristles: most share the handle's top as successor,
+    # the rest hang off an earlier bristle
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n).tolist()
+    succ = [0] * n
+    for i in range(cyc + handle):
+        succ[order[i]] = order[(i + 1) % cyc if i < cyc else i - 1]
+    hub = order[cyc + handle - 1]
+    for i in range(cyc + handle, n):
+        shared = i == cyc + handle or rng.random() < 0.9
+        succ[order[i]] = hub if shared else order[int(rng.integers(cyc + handle, i))]
     return succ
 
 
@@ -457,7 +507,9 @@ def test_json_round_trip():
         ({"format": "synchrotree-automaton-v1", "n": 2, "alphabet": 2,
           "delta": [[0, 5], [0, 0]]}, "delta[0][1]"),
         ({"format": "synchrotree-automaton-v1", "n": 2, "alphabet": 2,
-          "delta": [[0, 1], [0, -2 ** 70]]}, "delta[1][1]"),
+          "delta": [[0, 1], [0, -2 ** 70]]}, "delta[1][1]: state out of range"),
+        ({**doc, "delta": [[1, 2 ** 63, 0], [0, 0, 0]]}, "delta[0][1]: state out of range"),
+        ({**doc, "delta": [[1, 2, 0], [2 ** 64, 0, 0]]}, "delta[1][0]: state out of range"),
         # JSON true/false load as bool, an int subclass; none is a number
         ({**doc, "n": True}, "n"),
         ({**doc, "alphabet": True}, "alphabet"),

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import sys
 
 import synchrotree
 
@@ -15,4 +16,23 @@ def test_no_assert_statements_in_the_package():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_imports_are_stdlib_numpy_or_the_package():
+    # the package's one dependency is numpy; every other top-level import
+    # must come from the standard library or be relative
+    assert SOURCES
+    allowed = set(sys.stdlib_module_names) | {"numpy", "synchrotree"}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name)
+                      for name in names if name.split(".")[0] not in allowed]
     assert found == []

@@ -387,19 +387,38 @@ def test_walk_ends_match_plain_iteration():
         blocks, steps, walks = (int(v) for v in rng.integers(1, [5, 4, 40]))
         if rng.random() < 0.5:
             table = rng.integers(0, n, size=(blocks, n))
-        else:  # permutations: long cycles, many Brent windows
+        else:  # permutations: cycles longer than one check interval
             table = np.array([rng.permutation(n) for _ in range(blocks)])
         offs = rng.integers(0, blocks, size=(steps, walks))
-        x = rng.integers(0, n, size=walks)
-        _check_walk_ends(table, offs, x)
-        # walks whose word has a fixed point, aimed at one of them
-        maps = [np.arange(n)] * walks
-        for row in offs:
-            maps = [table[o][f] for o, f in zip(row, maps)]
-        has = [i for i, f in enumerate(maps) if (f == np.arange(n)).any()]
-        target = np.array([rng.choice(np.flatnonzero(maps[i] == np.arange(n)))
-                           for i in has], dtype=np.int64)
-        _check_walk_ends(table, offs[:, has], x[has], target)
+        _check_walks_and_targets(table, offs, rng.integers(0, n, size=walks), rng)
+    # rhos whose tail mu and cycle lam each span several checks: the path
+    # buffer grows, and the walks of one call end at different checks
+    for n in (300, 700, 1000):
+        table, x = [], []
+        for lam in (1, 1, 2, 17, 90, 150, 299):
+            mu = int(rng.integers(0, min(300, n - lam) + 1))
+            rho = rng.permutation(n)[:mu + lam]
+            f = rng.integers(0, n, size=n)
+            f[rho[:-1]] = rho[1:]
+            f[rho[-1]] = rho[mu]
+            table.append(f)
+            x += [rho[0], rng.integers(0, n)]
+        offs = np.repeat(np.arange(len(table)), 2)[None, :]
+        _check_walks_and_targets(np.array(table), offs, np.array(x), rng)
+
+
+def _check_walks_and_targets(table, offs, x, rng):
+    # every walk plainly, then the walks whose word has a fixed point, each
+    # aimed at one of them
+    n = table.shape[1]
+    _check_walk_ends(table, offs, x)
+    maps = [np.arange(n)] * x.size
+    for row in offs:
+        maps = [table[o][f] for o, f in zip(row, maps)]
+    has = [i for i, f in enumerate(maps) if (f == np.arange(n)).any()]
+    target = np.array([rng.choice(np.flatnonzero(maps[i] == np.arange(n)))
+                       for i in has], dtype=np.int64)
+    _check_walk_ends(table, offs[:, has], x[has], target)
 
 
 def test_block_table_rows_are_block_maps():
@@ -464,6 +483,23 @@ def test_certificates_are_checked_without_assert(monkeypatch):
     monkeypatch.setattr(sync, "is_synchronizing", lambda A, word: None)
     with pytest.raises(RuntimeError):
         greedy_fallback(A3)
+
+
+@pytest.mark.parametrize("H", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64])
+def test_tree_certificates_at_powers_of_two(H, monkeypatch):
+    # w^H is checked by squaring w's map, one bit of H at a time: 2^m sets
+    # only its top bit and 2^m - 1 every bit below. On the chain a: i -> i-1
+    # (b: i -> i-2), epsilon = -1 gives k = 1, so the tree word is "a", of
+    # height n - 1 = H
+    n = H + 1
+    A = Automaton([[max(i - 1, 0) for i in range(n)], [max(i - 2, 0) for i in range(n)]])
+    cert = tree_sync_word(A, epsilon=-1)
+    assert (cert.tree_word.text, cert.height, cert.sink) == ("a", H, 0)
+    assert cert.word == Word("a" * H) and cert.verified
+    assert is_synchronizing(A, cert.word) == 0
+    monkeypatch.setattr(sync, "find_tree_word", lambda *a, **kw: (Word("a"), H - 1, 0))
+    with pytest.raises(RuntimeError):
+        tree_sync_word(A, epsilon=-1)
 
 
 def test_tree_sync_word_none_cases():
