@@ -206,10 +206,13 @@ def random_nc_word(k, r, rng):
             return w
 
 
-def _int64_copy(arr, n, what):
+def _int64_copy(arr, n, what, rows):
     """The fresh array arr as read-only int64 in range(n); floats, bools
-    and strings are refused rather than truncated, with ValueError."""
-    if arr.dtype.kind not in "iu":
+    and strings are refused rather than truncated, with ValueError. rows
+    are the sequences arr was built from, or () for an array; numpy turns a
+    bool among ints into 0 or 1, so their entries are scanned for one."""
+    types = map(type, itertools.chain.from_iterable(rows))
+    if arr.dtype.kind not in "iu" or not {bool, np.bool_}.isdisjoint(types):
         raise ValueError("%s must be an integer" % what)
     arr = arr.astype(np.int64, copy=False)
     if arr.view(np.uint64).max() >= n:  # one reduction: negatives wrap past n
@@ -237,7 +240,8 @@ class Automaton:
             raise ValueError("need at least one state")
         if r < 2:
             raise ValueError("need at least two letters")
-        arr = _int64_copy(arr, n, "transition target")
+        rows = () if isinstance(delta, np.ndarray) else delta
+        arr = _int64_copy(arr, n, "transition target", rows)
         self.delta = arr
         self.n = n
         self.r = r
@@ -307,7 +311,8 @@ def automaton_from_json(doc):
             j = next(j for j, x in enumerate(row) if type(x) is not int)
             raise SchemaError("delta[%d][%d]: expected an integer state" % (i, j))
     try:
-        return Automaton(delta)  # its range check is the only one left to fail
+        # an array, as every entry is an int; the range check is left to fail
+        return Automaton(np.array(delta, dtype=np.int64))
     except (ValueError, OverflowError):
         i, j = next((i, j) for i, row in enumerate(delta)
                     for j, x in enumerate(row) if not 0 <= x < n)
@@ -436,7 +441,8 @@ class FunctionalGraph:
         n = arr.shape[0]
         if n < 1:
             raise ValueError("need at least one vertex")
-        arr = _int64_copy(arr, n, "successor")
+        rows = () if isinstance(succ, np.ndarray) else (succ,)
+        arr = _int64_copy(arr, n, "successor", rows)
         self.succ = arr
         self.n = n
 

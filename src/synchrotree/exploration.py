@@ -270,7 +270,9 @@ def ball(trace, u, radius, direction="both", t=None):
     """Vertices within the radius of u in the revealed graph at prefix t.
 
     direction "out" follows edges forward, "in" backward, "both" unions.
-    u must be a state, radius and t whole numbers >= 0.
+    u must be a state, radius and t whole numbers >= 0. A call grows all V
+    revealed vertices' balls to return u's, so it costs about V one-vertex
+    walks, and a sweep of calls over every vertex about V^2.
     """
     if direction not in ("in", "out", "both"):
         raise ValueError("direction must be in, out, or both")

@@ -474,82 +474,80 @@ def _all_automata(n, r=2):
     return autos
 
 
-def _audit_pair(A, sigmas, w):
-    """Round trips in both directions for one automaton and word; returns
-    (cycle_good, good_trees, round_trips, failures).
+def _audit_block(autos, sigmas, w):
+    """Round trips both ways under w over autos, every automaton on its
+    states, and every labeling: (cycle_good, good_trees, round_trips,
+    failures), and the good marked trees as keys.
 
-    Each predicate runs once per input: a fold of a proven cycle-good x and
-    an unfold of a proven good marked tree skip their own entry checks, and
-    the mark's closing congruence is found once for all labelings. The fold
-    after an unfold keeps its check, since nothing has shown x cycle-good.
+    Each cycle-good x is folded and each good marked tree y unfolded once,
+    without entry checks, and the image's key is stored, or None where the
+    map raised ValueError. As the inputs are exhaustive, x's trip holds
+    when fold(x) is a stored good tree that unfolds to x, and y's trip when
+    unfold(y) is a stored cycle-good x that folds to y. Keys are (position
+    in autos, labeling) for x and (position, mark, labeling) for y, so no
+    rewired automaton outlives its map.
     """
-    n = A.n
+    position = {A.rows: i for i, A in enumerate(autos)}
     k = len(w)
-    cgood = bgood = trips = fails = 0
-    for sigma in sigmas:
-        x = Labeled(A, sigma)
-        if not is_cycle_good(x, w):
+    folds = {}
+    for i, A in enumerate(autos):
+        for sigma in sigmas:
+            x = Labeled(A, sigma)
+            if not is_cycle_good(x, w):
+                continue
+            try:
+                y, _ = fold_cycles(x, w, check=False)
+                folds[i, sigma] = (position[y.automaton.rows], y.mark, y.sigma)
+            except ValueError:
+                folds[i, sigma] = None
+    unfolds = {}
+    for i, A in enumerate(autos):
+        if not is_w_tree(A, w):
             continue
-        cgood += 1
-        trips += 1
-        try:
-            y, _ = fold_cycles(x, w, check=False)
-            if (not is_good_marked_tree(y, w)
-                    or unfold_branch(y, w, check=False)[0] != x):
-                fails += 1
-        except ValueError:
-            fails += 1
-    if is_w_tree(A, w):
-        for mark in range(n):
+        for mark in range(A.n):
             if thread(A, mark, 0, w).cut_time % k != 0:
                 continue
             for sigma in sigmas:
                 y = MarkedLabeled(A, mark, sigma)
                 if not is_branch_good(y, w):
                     continue
-                bgood += 1
-                trips += 1
                 try:
                     x, _ = unfold_branch(y, w, check=False)
-                    forward, _ = fold_cycles(x, w)
-                    if forward != y:
-                        fails += 1
+                    unfolds[i, mark, sigma] = (position[x.automaton.rows], x.sigma)
                 except ValueError:
-                    fails += 1
-    return cgood, bgood, trips, fails
+                    unfolds[i, mark, sigma] = None
+    fails = sum(y is None or unfolds.get(y) != x for x, y in folds.items())
+    fails += sum(x is None or folds.get(x) != y for y, x in unfolds.items())
+    totals = (len(folds), len(unfolds), len(folds) + len(unfolds), fails)
+    return totals, list(unfolds)
 
 
-def _commutation_audit(n, w1, w2):
+def _commutation_audit(autos, w1, w2, trees1, trees2):
     """Unfold in both orders on every collision-free doubly marked pair of
     trees; the results must coincide.
 
-    The good marked trees under each word are listed once per automaton,
-    and every pair of them is scanned for collisions. At n = 3 under aab
-    and abb every such pair collides, so the audit checks no pair:
-    commute_checked is 0 and commute_failures == 0 holds vacuously. The
-    pair property test in tests/test_joyal.py checks commutation on
-    collision-free pairs at n = 1000-3000, where they are no longer rare.
+    trees1 and trees2 are the good marked trees under w1 and w2, as the
+    keys _audit_block returns for autos, and every pair of them on one
+    automaton is scanned for collisions. At n = 3 under aab and abb every
+    such pair collides, so the audit checks no pair: commute_checked is 0
+    and commute_failures == 0 holds vacuously. The pair property test in
+    tests/test_joyal.py checks commutation on collision-free pairs at
+    n = 1000-3000, where they are no longer rare.
     """
     checked = failures = 0
-    sigmas = list(permutations(range(n)))
-    for A in _all_automata(n):
-        if not (is_w_tree(A, w1) and is_w_tree(A, w2)):
-            continue
-        good1, good2 = (
-            [(v, sigma) for v in range(n) for sigma in sigmas
-             if is_good_marked_tree(MarkedLabeled(A, v, sigma), w)]
-            for w in (w1, w2)
-        )
-        for v1, sigma1 in good1:
-            for v2, sigma2 in good2:
-                x = DoubleMarked(A, v1, v2, sigma1, sigma2)
-                if find_collisions(x, w1, w2, ALL_TRIPLES, first_only=True):
-                    continue
-                y12, _ = unfold_pair(x, w1, w2, order=(1, 2))
-                y21, _ = unfold_pair(x, w1, w2, order=(2, 1))
-                checked += 1
-                if y12 != y21:
-                    failures += 1
+    second = {}
+    for i, v, sigma in trees2:
+        second.setdefault(i, []).append((v, sigma))
+    for i, v1, sigma1 in trees1:
+        for v2, sigma2 in second.get(i, ()):
+            x = DoubleMarked(autos[i], v1, v2, sigma1, sigma2)
+            if find_collisions(x, w1, w2, ALL_TRIPLES, first_only=True):
+                continue
+            y12, _ = unfold_pair(x, w1, w2, order=(1, 2))
+            y21, _ = unfold_pair(x, w1, w2, order=(2, 1))
+            checked += 1
+            if y12 != y21:
+                failures += 1
     return checked, failures
 
 
@@ -571,20 +569,21 @@ def _run_bijection_audit(config):
     if n_max > 3 or k_max > 3:
         raise ValueError("audit is exhaustive; capped at n=3, k=3")
     rows = []
+    trees = {}  # the n = 3 good marked trees the commutation audit pairs
     for n in range(2, n_max + 1):
         sigmas = list(permutations(range(n)))
         autos = _all_automata(n)
         for k in range(1, k_max + 1):
             for w in enumerate_nc_words(k):
-                totals = [0, 0, 0, 0]
-                for A in autos:
-                    out = _audit_pair(A, sigmas, w)
-                    for i in range(4):
-                        totals[i] += out[i]
-                rows.append((n, k, w.text) + tuple(totals))
+                totals, good = _audit_block(autos, sigmas, w)
+                rows.append((n, k, w.text) + totals)
+                if n == 3 and w.text in ("aab", "abb"):
+                    trees[w.text] = good
     aggregates = _audit_aggregates(rows, {})
     if n_max >= 3 and k_max >= 3:
-        checked, failures = _commutation_audit(3, Word("aab"), Word("abb"))
+        # autos holds the n = 3 automata, the last size audited
+        checked, failures = _commutation_audit(
+            autos, Word("aab"), Word("abb"), trees["aab"], trees["abb"])
         aggregates["commute_checked"] = checked
         aggregates["commute_failures"] = failures
     record = ExperimentRecord(
@@ -660,7 +659,9 @@ def exp_height(n, k=None, samples=50, seed=0, workers=None):
 
 
 def exp_bijection_audit(n_max=3, k_max=3):
-    """Exhaustive fold/unfold verification on every tiny instance."""
+    """Exhaustive fold/unfold verification on every tiny instance: each
+    cycle-good labeled automaton is folded once and each good marked tree
+    unfolded once, and a round trip holds when the two images match up."""
     cfg = ExperimentConfig(
         experiment="bijection_audit", sizes=(n_max,), trials=1,
         k_rule=("explicit", k_max),

@@ -139,9 +139,12 @@ def test_automaton_validation():
     with pytest.raises(ValueError):
         Automaton([[0, 1]])
     # a table must have an integer dtype: floats, bools and strings are
-    # refused, not truncated to states
+    # refused, not truncated to states, and so is a bool among int entries,
+    # which numpy would promote to 0 or 1
     for table in ([[0.5, 1], [1, 0]], [[1.9, 0], [0, 1]], np.ones((2, 2)),
-                  [[True, False], [False, True]], [["1", "0"], ["0", "1"]]):
+                  [[True, False], [False, True]], [["1", "0"], ["0", "1"]],
+                  [[True, 0], [0, 1]], ((1, 0), (0, np.True_)),
+                  [np.array([True, False]), [0, 1]]):
         with pytest.raises(ValueError, match="integer"):
             Automaton(table)
     assert Automaton(np.array([[1, 0], [0, 0]], dtype=np.uint8)) == A
@@ -152,7 +155,8 @@ def test_functional_graph_copies_integer_input():
     F = FunctionalGraph(a)
     assert a.flags.writeable and F.succ is not a and not F.succ.flags.writeable
     assert F.succ.dtype == np.int64 and F.succ.tolist() == [1, 0, 0]
-    for succ in ([0.5, 0], [True, False], ["1", "0"], np.zeros(2)):
+    for succ in ([0.5, 0], [True, False], ["1", "0"], np.zeros(2), [True, 0],
+                 (0, np.False_)):
         with pytest.raises(ValueError, match="integer"):
             FunctionalGraph(succ)
     with pytest.raises(ValueError, match="range"):

@@ -36,6 +36,7 @@ from synchrotree.lab import (
 )
 from synchrotree.joyal import fold_cycles, unfold_branch
 from synchrotree.records import (
+    DoubleMarked,
     Labeled,
     MarkedLabeled,
     has_minima_collision,
@@ -346,10 +347,12 @@ def test_bijection_audit_small():
 
 
 def _reference_audit_pair(A, sigmas, w):
-    # the audit loop before each predicate ran once: every fold and unfold
-    # repeats its own entry checks
+    # the audit loop before each map ran once per input: every trip folds
+    # and unfolds with their own entry checks; also returns the good marked
+    # trees as (mark, labeling)
     n = A.n
     cgood = bgood = trips = fails = 0
+    trees = []
     for sigma in sigmas:
         x = Labeled(A, sigma)
         if not is_cycle_good(x, w):
@@ -369,6 +372,7 @@ def _reference_audit_pair(A, sigmas, w):
                 y = MarkedLabeled(A, mark, sigma)
                 if not is_good_marked_tree(y, w):
                     continue
+                trees.append((mark, sigma))
                 bgood += 1
                 trips += 1
                 try:
@@ -378,17 +382,77 @@ def _reference_audit_pair(A, sigmas, w):
                         fails += 1
                 except ValueError:
                     fails += 1
-    return cgood, bgood, trips, fails
+    return (cgood, bgood, trips, fails), trees
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), n=st.integers(2, 4), k=st.integers(1, 4),
-       seed=st.integers(0, 2**32 - 1))
-def test_audit_pair_matches_reference(data, n, k, seed):
-    A = random_automaton(n, seed=seed)
-    w = data.draw(st.sampled_from(list(enumerate_nc_words(k))))
-    sigmas = list(permutations(range(n)))
-    assert lab._audit_pair(A, sigmas, w) == _reference_audit_pair(A, sigmas, w)
+def test_audit_block_matches_reference():
+    for n, lengths in ((2, (1, 2, 3, 4, 5)), (3, (1,))):
+        sigmas = list(permutations(range(n)))
+        autos = lab._all_automata(n)
+        words = [w for k in lengths for w in enumerate_nc_words(k)]
+        for w in words:
+            totals = [0, 0, 0, 0]
+            trees = []
+            for i, A in enumerate(autos):
+                counts, good = _reference_audit_pair(A, sigmas, w)
+                totals = [a + b for a, b in zip(totals, counts)]
+                trees += [(i, mark, sigma) for mark, sigma in good]
+            assert lab._audit_block(autos, sigmas, w) == (tuple(totals), trees)
+
+
+def test_audit_runs_each_map_once_per_input(monkeypatch):
+    calls = {"fold_cycles": 0, "unfold_branch": 0, "is_good_marked_tree": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(lab, name), _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(lab, name, counted)
+    rows = exp_bijection_audit(2, 3).rows
+    assert calls == {"fold_cycles": sum(r[3] for r in rows),
+                     "unfold_branch": sum(r[4] for r in rows),
+                     "is_good_marked_tree": 0}
+
+
+def test_audit_fails_both_trips_through_a_raising_map(monkeypatch):
+    # a map that raises on one input fails that input's own trip and the
+    # other direction's trip that lands on it, and no other trip
+    w = Word("ab")
+    sigmas = list(permutations(range(2)))
+    autos = lab._all_automata(2)
+    x = next(Labeled(A, s) for A in autos for s in sigmas if is_cycle_good(Labeled(A, s), w))
+    y = next(MarkedLabeled(A, v, s) for A in autos for v in range(2) for s in sigmas
+             if is_good_marked_tree(MarkedLabeled(A, v, s), w))
+    real = {"fold_cycles": lab.fold_cycles, "unfold_branch": lab.unfold_branch}
+    for name, chosen in (("fold_cycles", x), ("unfold_branch", y)):
+        def raising(z, word, _real=real[name], _chosen=chosen, **kw):
+            if word == w and z == _chosen:
+                raise ValueError("injected")
+            return _real(z, word, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(lab, name, raising)
+            record = exp_bijection_audit(2, 2)
+        assert record.aggregates["total_failures"] == 2
+        assert [r[6] for r in record.rows if r[2] == "ab"] == [2]
+
+
+def test_commutation_audit_scans_the_good_tree_pairs(monkeypatch):
+    # find_collisions reports a collision on every pair it is given, so no
+    # pair is unfolded and the pairs scanned are recorded
+    w1, w2 = Word("aab"), Word("bba")
+    sigmas = list(permutations(range(2)))
+    autos = lab._all_automata(2)
+    scanned = []
+    monkeypatch.setattr(lab, "find_collisions", lambda x, *a, **kw: scanned.append(x) or [x])
+    trees = [lab._audit_block(autos, sigmas, w)[1] for w in (w1, w2)]
+    assert lab._commutation_audit(autos, w1, w2, *trees) == (0, 0)
+    good1, good2 = (
+        [(A, v, s) for A in autos for v in range(2) for s in sigmas
+         if is_good_marked_tree(MarkedLabeled(A, v, s), w)]
+        for w in (w1, w2)
+    )
+    want = [DoubleMarked(A, v1, v2, s1, s2)
+            for A, v1, s1 in good1 for B, v2, s2 in good2 if A == B]
+    assert want and scanned == want
 
 
 def test_audit_catches_a_broken_bijection(monkeypatch):
