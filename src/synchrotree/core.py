@@ -5,7 +5,6 @@ letter indices; for r=2 the letters print as 'a' and 'b'. Applying a word
 reads it left to right: the image of u under "ab" is b(a(u)).
 """
 
-import functools
 import itertools
 import math
 import numbers
@@ -523,14 +522,6 @@ def height(F):
     return int((rank + clen[succ]).max()) - 1
 
 
-@functools.lru_cache(maxsize=1)
-def _identity(n):
-    # the tree search tests many maps of one size; build arange(n) once
-    ids = np.arange(n, dtype=np.int64)
-    ids.setflags(write=False)
-    return ids
-
-
 def loop_root(succ):
     """The root when the successor array succ (integer numpy) is a
     loop-rooted tree, else None.
@@ -541,7 +532,7 @@ def loop_root(succ):
     distance in (2^m, 2^(m+1)], so a count that stops growing means r's
     basin is not everything.
     """
-    fixed = np.flatnonzero(succ == _identity(succ.size))
+    fixed = np.flatnonzero(succ == np.arange(succ.size))
     if fixed.size != 1:
         return None
     r = int(fixed[0])

@@ -393,7 +393,7 @@ def path_exception_count(trace, radius=None, t=None):
 def check_path_exceptions(trace):
     """At the final prefix, ball-not-a-path vertices stay at or below
     10k h^2 for the trace's own hit count."""
-    h = hit_counts(trace)[-1] if trace.final_time else 0
+    h = sum(trace.step_hits)
     return path_exception_count(trace) <= 10 * trace.k * h * h
 
 

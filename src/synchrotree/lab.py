@@ -50,13 +50,18 @@ from .joyal import fold_cycles, unfold_branch, unfold_pair
 from .sync import pick_tree_length, tree_sync_word
 
 
+# a k_rule's JSON key for its value, per rule type
+_RULE_KEYS = {"explicit": "value", "log2": "epsilon", "ln": "factor"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """What to run: sizes, trial count, seeding, and the k rule.
 
     k_rule is ("explicit", k), ("log2", epsilon) for ceil((1+eps) log2 n)
     clamped to [1, ceil(2 log2 n)], or ("ln", factor) for
-    ceil(factor ln n). word is only used by tree_probability.
+    ceil(factor ln n); scaling takes only a log2 rule, whose epsilon is the
+    tree search's. word is only used by tree_probability.
     """
 
     experiment: str
@@ -64,7 +69,6 @@ class ExperimentConfig:
     trials: int = 100
     seed: int = 0
     k_rule: tuple = ("log2", 0.2)
-    epsilon: float = 0.2
     budget: int = None
     word: str = None
     out: str = None
@@ -85,8 +89,6 @@ class ExperimentConfig:
             if not (_is_whole(self.budget) and self.budget >= 0):
                 raise ValueError("budget: expected null or a whole number >= 0")
             object.__setattr__(self, "budget", int(self.budget))
-        if not is_finite_number(self.epsilon):
-            raise ValueError("epsilon: expected a finite number")
         rule = tuple(self.k_rule)
         if rule[0] not in ("explicit", "log2", "ln") or len(rule) != 2:
             raise ValueError("k_rule: expected (explicit|log2|ln, value)")
@@ -95,18 +97,18 @@ class ExperimentConfig:
         value = float(rule[1])
         if rule[0] == "explicit" and not (value.is_integer() and value >= 1):
             raise ValueError("k_rule: explicit k must be a whole number >= 1")
+        if self.experiment == "scaling" and rule[0] != "log2":
+            raise ValueError("k_rule: scaling needs a log2 rule, the tree search's epsilon")
         object.__setattr__(self, "k_rule", (rule[0], value))
 
     def to_json_dict(self):
         kind, value = self.k_rule
-        key = {"explicit": "value", "log2": "epsilon", "ln": "factor"}[kind]
         return {
             "experiment": self.experiment,
             "sizes": list(self.sizes),
             "trials": self.trials,
             "seed": self.seed,
-            "k_rule": {"type": kind, key: value},
-            "epsilon": self.epsilon,
+            "k_rule": {"type": kind, _RULE_KEYS[kind]: value},
             "budget": self.budget,
             "word": self.word,
             "out": self.out,
@@ -133,29 +135,18 @@ def config_from_json(doc):
         raise ValueError("experiment: missing")
     if "sizes" not in doc or not isinstance(doc["sizes"], list):
         raise ValueError("sizes: expected a list")
-    rule = ("log2", 0.2)
-    if "k_rule" in doc and doc["k_rule"] is not None:
-        kr = doc["k_rule"]
+    args = dict(doc)
+    kr = args.pop("k_rule", None)
+    if kr is not None:
         if not isinstance(kr, dict) or "type" not in kr:
             raise ValueError("k_rule: expected an object with a type")
-        kind = kr["type"]
-        key = {"explicit": "value", "log2": "epsilon", "ln": "factor"}.get(kind)
+        key = _RULE_KEYS.get(kr["type"]) if isinstance(kr["type"], str) else None
         if key is None:
             raise ValueError("k_rule.type: expected explicit, log2, or ln")
         if key not in kr:
             raise ValueError("k_rule.%s: missing" % key)
-        rule = (kind, kr[key])
-    return ExperimentConfig(
-        experiment=doc["experiment"],
-        sizes=doc["sizes"],
-        trials=doc.get("trials", 100),
-        seed=doc.get("seed", 0),
-        k_rule=rule,
-        epsilon=doc.get("epsilon", 0.2),
-        budget=doc.get("budget"),
-        word=doc.get("word"),
-        out=doc.get("out"),
-    )
+        args["k_rule"] = (kr["type"], kr[key])
+    return ExperimentConfig(**args)
 
 
 def resolve_k(rule, n):
@@ -212,7 +203,7 @@ def _row_moment_estimate(cfg, n, k, trial, seed):
 def _row_scaling(cfg, n, k, trial, seed):
     rng = rng_from_seed(seed)
     A = random_automaton(n, seed=rng)
-    cert = tree_sync_word(A, epsilon=cfg.epsilon, budget=cfg.budget)
+    cert = tree_sync_word(A, epsilon=cfg.k_rule[1], budget=cfg.budget)
     if cert is None:
         return (n, trial, 0, k, None, None)
     if not cert.verified:
@@ -633,7 +624,7 @@ def exp_scaling(sizes, epsilon=0.2, trials=100, seed=0, budget=None, workers=Non
     fitted log-log slope of the median."""
     cfg = ExperimentConfig(
         experiment="scaling", sizes=tuple(sizes), trials=trials, seed=seed,
-        k_rule=("log2", epsilon), epsilon=epsilon, budget=budget,
+        k_rule=("log2", epsilon), budget=budget,
     )
     return run(cfg, workers=workers)
 

@@ -5,17 +5,18 @@ The fast route: find a word w whose one-letter view is a loop-rooted tree,
 measure its height H, and emit w^H, which drags every state into the root.
 The rotations of a tree word are tree words, so the search scans only the
 least word of each rotation class, in batches of 1024 to 4096 indices, and
-maps a hit's other rotations once the scan passes them. A tree's one cycle
-is a fixed point, so the search first walks single states under a batch's
-words in lockstep, each to its first repeated state, and drops each word
-whose walk proves another cycle; a word map is one gather per b-letter
-block, b = 4 on two letters. Only the words left get a full map; the tree
-test and the height come from core's functional-graph kernel, loop_root and
-height. The oracles: a
-power-set BFS for exact shortest words on tiny automata, a pair-merging
-check for synchronizability, and a cubic greedy fallback (Eppstein 1990).
-The last two share one table of shortest merging words per state pair,
-held in flat numpy arrays of size n*n.
+maps a hit's other rotations once the scan passes them. A word is held as
+its base-r index and mapped by one gather per b-letter block, b = 4 on two
+letters, the blocks read off the index. A tree's one cycle is a fixed
+point, so the search first walks single states under a batch's words in
+lockstep, each to its first repeated state, and drops each word whose walk
+proves another cycle. Only the words left, and a hit's rotations, get a
+full map; the tree test and the height come from core's functional-graph
+kernel, loop_root and height. The oracles: a power-set BFS for exact
+shortest words on tiny automata, a pair-merging check for
+synchronizability, and a cubic greedy fallback (Eppstein 1990). The last
+two share one table of shortest merging words per state pair, held in flat
+numpy arrays of size n*n.
 """
 
 import heapq
@@ -89,10 +90,9 @@ def _lex_codes(first, count, r, k):
     return np.arange(first, first + count, dtype=dtype)
 
 
-def _lex_letters(codes, r, k):
-    """(B, k) letters of the words whose indices are codes."""
-    digits = [codes // r ** i % r for i in range(k - 1, -1, -1)]
-    return np.stack(digits, axis=1).astype(np.int64)
+def _word(c, r, k):
+    """The word of length k whose index is c."""
+    return Word([c // r ** i % r for i in range(k - 1, -1, -1)])
 
 
 def _rotate(c, r, k, d):
@@ -162,15 +162,15 @@ def _block_table(A, k):
     return table.ravel(), b
 
 
-def _block_offsets(letters, r, b, n):
-    """Offsets into the flat block table of the blocks of each row of a
-    (B, k) letter array, tail last, as a (ceil(k/b), B) array."""
-    k = letters.shape[1]
-    rows = [letters[:, j:j + b] @ r ** np.arange(min(b, k - j))[::-1]
-            for j in range(0, k, b)]
-    if k % b:
-        rows[-1] += r ** b
-    return np.array(rows) * n
+def _block_offsets(codes, r, k, b, n):
+    """Offsets into the flat block table of the blocks of the words of
+    indices codes, tail last, as a (ceil(k/b), B) array (one column for an
+    int index): each block is a run of b base-r digits of the index."""
+    t = k % b
+    rows = [codes // r ** (k - j - b) % r ** b for j in range(0, k - t, b)]
+    if t:
+        rows.append(codes % r ** t + r ** b)
+    return np.array(rows, dtype=np.int64) * n
 
 
 def _map(table, offs, x):
@@ -180,15 +180,15 @@ def _map(table, offs, x):
     return x
 
 
-def _walk_ends(table, offs, x, target=None):
+def _walk_ends(table, offs, x):
     """Many walks in lockstep, each to its first repeated state.
 
     Walk i starts at x[i] and steps by the word with block offsets
     offs[:, i]. path holds the live walks' states, one row per step. Every
     _CHECK steps the walks whose state repeats an earlier one, so lies on
-    their cycle, are dropped, and so are those at target[i], a fixed point.
-    Returns (end, fixed): each walk's last state, on its cycle, and whether
-    it is fixed, which it is when it equals the state a step before.
+    their cycle, are dropped. Returns (end, fixed): each walk's last state,
+    on its cycle, and whether it is fixed, which it is when it equals the
+    state a step before.
     """
     end = np.empty(x.size, dtype=np.int64)
     fixed = np.empty(x.size, dtype=bool)
@@ -202,17 +202,11 @@ def _walk_ends(table, offs, x, target=None):
         for s in range(s + 1, s + _CHECK + 1):
             x = path[s] = _map(table, offs, x)
         stop = (path[:s] == x).any(axis=0)
-        fix = path[s - 1] == x
-        if target is not None:
-            fix |= x == target
-            stop |= fix
         if stop.any():
             end[live[stop]] = x[stop]
-            fixed[live[stop]] = fix[stop]
+            fixed[live[stop]] = path[s - 1, stop] == x[stop]
             keep = ~stop
             live, x, offs, path = live[keep], x[keep], offs[:, keep], path[:, keep]
-            if target is not None:
-                target = target[keep]
     return end, fixed
 
 
@@ -221,53 +215,57 @@ def _tree_words(A, k, batches):
 
     Maps X and Y of a finite set give XY and YX the same cycle type on
     their periodic points, so a rotation of a tree word is a tree word and
-    the batches hold only the least word of each class. A word map is
-    ceil(k/b) gathers through _block_table, 4 at k = 16 on two letters. A
-    loop-rooted tree has one cycle, a fixed point, so each rejection below
-    is a proof. Stage 1 walks state 0 under every word to a repeated state
-    and drops the words whose walk ends on a longer cycle; stage 2 walks
-    _STARTS spread states under each survivor and drops it unless each walk
-    reaches stage 1's fixed point. Only the words left get a full map,
-    tested by loop_root.
-    A hit's other rotations wait in a heap until the scan passes them.
+    the batches hold only the least word of each class, by index. A word
+    map is ceil(k/b) gathers through _block_table, 4 at k = 16 on two
+    letters. A loop-rooted tree has one cycle, a fixed point, so each
+    rejection below is a proof. Stage 1 walks state 0 under every word to a
+    repeated state and drops the words whose walk ends on a longer cycle;
+    stage 2 walks _STARTS spread states under each survivor the same way and
+    drops it unless each walk ends on stage 1's fixed point. Only the words
+    left get a full map, tested by loop_root. The indices of a hit's other
+    rotations wait in a heap until the scan passes them, then take the same
+    map, test and height.
     """
     n, r = A.n, A.r
     table, b = _block_table(A, k)
     starts = np.unique(np.linspace(0, n - 1, _STARTS).astype(np.int64))
-    pending = []  # (index, letters) of hit rotations the scan has not passed
+    pending = []  # indices of hit rotations the scan has not passed
+
+    def tree(c):
+        # (word, height, root) for the word of index c, or None
+        f = _map(table, _block_offsets(c, r, k, b, n), np.arange(n))
+        root = loop_root(f)
+        if root is None:
+            return None
+        F = FunctionalGraph(f)
+        del f  # F holds a copy; free f before height's n-sized arrays
+        return _word(c, r, k), height(F), root
+
+    def rotations_below(c):
+        while pending and pending[0] < c:
+            d = heapq.heappop(pending)
+            hit = tree(d)
+            if hit is None:
+                raise RuntimeError("a rotation of a tree word is not a tree: %s"
+                                   % _word(d, r, k).text)
+            yield hit
+
     for scanned, codes in batches:
-        letters = _lex_letters(codes, r, k)
-        offs = _block_offsets(letters, r, b, n)
-        end, fixed = _walk_ends(table, offs, np.zeros(len(letters), dtype=np.int64))
+        offs = _block_offsets(codes, r, k, b, n)
+        end, fixed = _walk_ends(table, offs, np.zeros(codes.size, dtype=np.int64))
         fixed = np.flatnonzero(fixed)
         roots = np.repeat(end[fixed], starts.size)
         end, _ = _walk_ends(table, np.repeat(offs[:, fixed], starts.size, axis=1),
-                            np.tile(starts, fixed.size), roots)
+                            np.tile(starts, fixed.size))
         for i in fixed[(end == roots).reshape(-1, starts.size).all(axis=1)]:
-            f = _map(table, offs[:, i], np.arange(n))
-            root = loop_root(f)
-            if root is not None:
-                c = int(codes[i])
-                yield from _rotations_below(A, pending, c)
-                w = letters[i].tolist()
-                F = FunctionalGraph(f)
-                del f  # F holds a copy; free f before height's n-sized arrays
-                yield Word(w), height(F), root
+            c = int(codes[i])
+            hit = tree(c)
+            if hit is not None:
+                yield from rotations_below(c)
+                yield hit
                 for d in range(1, k):
-                    heapq.heappush(pending, (_rotate(c, r, k, d), w[d:] + w[:d]))
-        yield from _rotations_below(A, pending, scanned)
-
-
-def _rotations_below(A, pending, c):
-    """(word, height, root) for the pending rotations of index below c,
-    popped in order; each is mapped only now."""
-    while pending and pending[0][0] < c:
-        w = Word(heapq.heappop(pending)[1])
-        F = FunctionalGraph(apply_word_all(A, w))
-        root = loop_root(F.succ)
-        if root is None:
-            raise RuntimeError("a rotation of a tree word is not a tree: %s" % w.text)
-        yield w, height(F), root
+                    heapq.heappush(pending, _rotate(c, r, k, d))
+        yield from rotations_below(scanned)
 
 
 def iter_tree_words(A, k, budget=None):
@@ -311,7 +309,8 @@ def tree_sync_word(A, epsilon=0.2, budget=None):
     if found is None:
         return None
     w, H, root = found
-    # w's map to the power H by squaring, about 2*log2(H) gathers
+    # w's map to the power H by squaring, about 2*log2(H) gathers, from
+    # apply_word_all so that the check does not rest on the search's table
     f = apply_word_all(A, w)
     images = np.arange(A.n, dtype=np.int64)
     for bit in range(H.bit_length()):

@@ -272,7 +272,10 @@ def test_missing_and_malformed_files(tmp_path, capsys):
                              ("height", "seed", 1.5), ("height", "seed", True),
                              ("height", "sizes", [8.5]), ("scaling", "budget", True),
                              ("scaling", "budget", 2.5), ("scaling", "budget", "3"),
-                             ("scaling", "budget", -1)):
+                             ("scaling", "budget", -1),
+                             ("scaling", "k_rule", {"type": "explicit", "value": 5}),
+                             ("scaling", "k_rule", {"type": "ln", "factor": 1.0}),
+                             ("height", "k_rule", {"type": ["log2"], "epsilon": 1})):
         cfg = tmp_path / "badtype.json"
         cfg.write_text(json.dumps({"experiment": name, "sizes": [8], key: value}))
         rc, out, err = _run(capsys, ["experiment", name, "--config", str(cfg)])

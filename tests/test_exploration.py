@@ -286,6 +286,30 @@ def test_typicality_ball_and_path_branches():
     assert rep.path_exceptions == 0 and rep.e_path
 
 
+@pytest.fixture(scope="module")
+def automaton_4e6():
+    return random_automaton(4 * 10**6, seed=0)
+
+
+# (path_exceptions, hits_total) of one-entry traces at (d, k) = (1, 2)
+_TRACES_4E6 = [(17, 4), (2, 1), (2, 1)]
+
+
+@pytest.mark.parametrize("seed, expect", enumerate(_TRACES_4E6))
+def test_typicality_ball_and_path_checks_run_at_scale(automaton_4e6, seed, expect):
+    # h_max = 400 at (d, k) = (1, 2): a trace reveals more than 4(h_max + 1)
+    # vertices, and n = 4e6 passes the path bound 10k h_max^2 = 3.2e6, so
+    # both checks run on the traces of an automaton at this n
+    A = automaton_4e6
+    rng = rng_from_seed(seed)
+    w = random_nc_word(2, 2, rng)
+    tr = explore(A, InputSpec(((int(rng.integers(A.n)), int(rng.integers(2)), w),)))
+    rep = check_typicality(tr, d=1, k=2)
+    assert rep.ball_checked and rep.path_exceptions is not None
+    assert (rep.path_exceptions, rep.hits_total) == expect
+    assert rep.e_ball and rep.e_path and rep.typical
+
+
 def test_input_spec_validation():
     with pytest.raises(ValueError):
         InputSpec(())

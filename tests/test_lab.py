@@ -44,7 +44,7 @@ from synchrotree.records import (
     is_good_marked_tree,
     random_labeling,
 )
-from synchrotree.sync import SyncCertificate
+from synchrotree.sync import SyncCertificate, pick_tree_length, tree_sync_word
 
 
 def test_config_json_round_trip():
@@ -99,8 +99,14 @@ def test_config_validation_messages():
             ExperimentConfig(experiment="height", sizes=(8,), trials=value)
     assert ExperimentConfig(experiment="height", sizes=(8,), trials=5.0).trials == 5
     for value in ("x", None, True, float("inf")):
-        with pytest.raises(ValueError, match="epsilon"):
-            ExperimentConfig(experiment="scaling", sizes=(8,), epsilon=value)
+        with pytest.raises(ValueError, match="k_rule"):
+            ExperimentConfig(experiment="scaling", sizes=(8,), k_rule=("log2", value))
+    # scaling's k is the search's length, which only a log2 rule gives
+    for rule in (("explicit", 5), ("ln", 1.0)):
+        with pytest.raises(ValueError, match="k_rule"):
+            ExperimentConfig(experiment="scaling", sizes=(8,), k_rule=rule)
+    with pytest.raises(ValueError, match="epsilon: unknown key"):
+        config_from_json({"experiment": "scaling", "sizes": [8], "epsilon": 0.2})
     with pytest.raises(ValueError, match="trial: unknown key"):
         config_from_json({"experiment": "height", "sizes": [8], "trial": 5})
 
@@ -127,9 +133,11 @@ def _tiny_cfg(experiment, out):
     if experiment == "goodness":
         return _goodness_cfg(out)
     word = "aab" if experiment == "tree_probability" else None
+    # scaling searches at its rule's length, which only a log2 rule gives
+    rule = ("log2", 0.2) if experiment == "scaling" else ("explicit", 3)
     # 80 jobs, so the pool hands out two chunks of 64
     return ExperimentConfig(experiment=experiment, sizes=(8, 12), trials=40, seed=5,
-                            k_rule=("explicit", 3), word=word, out=out)
+                            k_rule=rule, word=word, out=out)
 
 
 @pytest.mark.parametrize(
@@ -298,6 +306,26 @@ def test_scaling_small_sizes():
     assert agg["bound_factor"] == 10.0
     if all(p["median_len"] for p in agg["per_n"]):
         assert agg["slope"] is not None
+
+
+def test_scaling_k_column_is_the_searched_length(monkeypatch):
+    # epsilon = 1 searches at k = 17 at n = 300, not the default rule's 10
+    searched = []
+
+    def recording(A, **kw):
+        cert = tree_sync_word(A, **kw)
+        searched.append(cert and len(cert.tree_word))
+        return cert
+
+    monkeypatch.setattr(lab, "tree_sync_word", recording)
+    record = exp_scaling((300,), epsilon=1.0, trials=6, seed=3)
+    assert pick_tree_length(300, 1.0) == 17
+    assert [row[3] for row in record.rows] == [17] * 6
+    for row, k in zip(record.rows, searched):
+        assert row[2] == (k is not None)
+        if row[2]:
+            assert k == row[3] and row[5] == row[3] * row[4]
+    assert record.config.to_json_dict()["k_rule"] == {"type": "log2", "epsilon": 1.0}
 
 
 def test_scaling_rows_check_certificates_without_assert(monkeypatch):

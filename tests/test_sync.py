@@ -212,6 +212,11 @@ def _index(word, r):
     return int("".join(map(str, word)), r)
 
 
+def _digits(c, r, k):
+    # the k base-r digits of the index c, high first
+    return [int(ch, r) for ch in np.base_repr(c, r).zfill(k)]
+
+
 _ROW_TEST_SHAPES = [(r, k) for r in (2, 3) for k in range(1, 13)] + [(3, 60), (2, 100)]
 
 
@@ -224,7 +229,7 @@ def test_rotation_classes_match_brute_force(data, shape):
     count = data.draw(st.integers(1, min(300, r ** k - first)))
     codes = sync._lex_codes(first, count, r, k)
     least, periodic = sync._rotation_classes(codes, r, k)
-    letters = sync._lex_letters(codes, r, k).tolist()
+    letters = [_digits(c, r, k) for c in range(first, first + count)]
     assert least.shape == periodic.shape == (count,)
     for i, w in enumerate(letters):
         rotations = [_index(w[d:] + w[:d], r) for d in range(1, k)]
@@ -235,10 +240,9 @@ def test_rotation_classes_match_brute_force(data, shape):
     assert count - np.count_nonzero(periodic) == nc
 
 
-def test_iter_tree_words_yield_whole_rotation_classes():
-    # every rotation of a hit that the budget's scan reaches is yielded,
-    # in index order, with the height and root of its own map
-    rotations_seen = 0
+def _rotation_class_searches():
+    # (A, k, budget, end) over sizes where rotations of hits fall in the
+    # budget; end is one past the index of the last word the budget scans
     for seed in range(16):
         n, r = (60, 300, 1000, 3000)[seed % 4], 2 + seed % 2
         A = random_automaton(n, r, seed=seed)
@@ -247,31 +251,75 @@ def test_iter_tree_words_yield_whole_rotation_classes():
         words = itertools.product(range(r), repeat=k)
         nc = (w for w in words if not is_self_conjugate(w))
         last = next(islice(nc, budget - 1, None), None)
-        end = r ** k if last is None else _index(last, r) + 1
+        yield A, k, budget, r ** k if last is None else _index(last, r) + 1
+
+
+def _check_whole_rotation_classes(A, k, hits, end):
+    # the hits come in index order, below end, with the height and root of
+    # their own map, and with every rotation below end; returns how many
+    # are not the least word of their class
+    r = A.r
+    index = [_index(w, r) for w, _, _ in hits]
+    assert index == sorted(set(index)) and all(i < end for i in index)
+    found = set(index)
+    for w, H, root in hits:
+        f = apply_word_all(A, w)
+        assert (H, root) == (height(FunctionalGraph(f)), loop_root(f))
+        for d in range(1, k):
+            rotation = _index(w.letters[d:] + w.letters[:d], r)
+            assert (rotation in found) == (rotation < end)
+    return sum(any(w.letters[d:] + w.letters[:d] < w.letters for d in range(1, k))
+               for w, _, _ in hits)
+
+
+def test_iter_tree_words_yield_whole_rotation_classes():
+    # every rotation of a hit that the budget's scan reaches is yielded
+    rotations_seen = 0
+    for A, k, budget, end in _rotation_class_searches():
         hits = list(iter_tree_words(A, k, budget=budget))
-        index = [_index(w, r) for w, _, _ in hits]
-        assert index == sorted(set(index)) and all(i < end for i in index)
-        for w, H, root in hits:
-            f = apply_word_all(A, w)
-            assert (H, root) == (height(FunctionalGraph(f)), loop_root(f))
-            for d in range(1, k):
-                rotation = _index(w.letters[d:] + w.letters[:d], r)
-                assert (rotation in index) == (rotation < end)
-        rotations_seen += sum(any(w.letters[d:] + w.letters[:d] < w.letters
-                                  for d in range(1, k)) for w, _, _ in hits)
+        rotations_seen += _check_whole_rotation_classes(A, k, hits, end)
     assert rotations_seen >= 10
 
 
-def test_lex_letters_match_base_r_indices():
-    # batches of the exhaustive search read as base-r numbers, also where
-    # the high digits carry and where r**k exceeds int64
+def test_rotations_are_mapped_without_apply_word_all(monkeypatch):
+    # the search maps hits and their rotations through its block table only
+    def refuse(A, word):
+        raise AssertionError("the search called apply_word_all")
+
+    monkeypatch.setattr(sync, "apply_word_all", refuse)
+    rotations_seen = 0
+    for A, k, budget, end in _rotation_class_searches():
+        hits = list(iter_tree_words(A, k, budget=budget))
+        rotations_seen += _check_whole_rotation_classes(A, k, hits, end)
+        # tree-words --all at a k whose whole scan is cheap
+        k = 11 if A.r == 2 else 7
+        rc, doc = _cli_tree_words_all(A, k)
+        hits = [(Word(h["word"]), h["H"], h["root"]) for h in doc["words"]]
+        assert doc["k"] == k and rc == (0 if hits else 1)
+        rotations_seen += _check_whole_rotation_classes(A, k, hits, A.r ** k)
+    assert rotations_seen >= 10
+
+
+def test_block_offsets_read_base_r_digits():
+    # batches anywhere in the index range, also where the high digits carry
+    # and where r**k exceeds int64: block j holds digits j..j+b-1 of the
+    # index and the tail its last k mod b digits, after the r**b blocks
+    n = 7
     for r, k, first in ((2, 9, 448), (3, 6, 700), (2, 24, 2**20 - 100),
                         (3, 60, 2 * 3**59 + 3**20 - 7), (2, 100, 2**99 - 5)):
+        b = 4 if r == 2 else 2
         count = min(4096, r ** k - first)
-        letters = sync._lex_letters(sync._lex_codes(first, count, r, k), r, k)
-        assert letters.shape == (count, k)
-        for i, row in enumerate(letters.tolist()):
-            assert int("".join(map(str, row)), r) == first + i
+        codes = sync._lex_codes(first, count, r, k)
+        offs = sync._block_offsets(codes, r, k, b, n)
+        assert offs.shape == (-(-k // b), count) and offs.dtype == np.int64
+        expect = []
+        for i, c in enumerate(range(first, first + count)):
+            digits = _digits(c, r, k)
+            assert list(sync._word(c, r, k)) == digits
+            blocks = [digits[j:j + b] for j in range(0, k, b)]
+            expect.append([_index(u, r) + (r ** b if len(u) < b else 0) for u in blocks])
+            assert (sync._block_offsets(c, r, k, b, n) == offs[:, i]).all()
+        assert (offs == np.array(expect).T * n).all()
 
 
 def _reference_trie_maps(A, k):
@@ -346,11 +394,11 @@ def test_first_tree_words_frozen_at_bench_scale(seed, hit):
     assert (w.text, H, root) == hit
 
 
-def _check_walk_ends(table, offs, x, target=None):
+def _check_walk_ends(table, offs, x):
     # each walk against plain iteration of its word's map: the walk ends on
-    # its cycle, or on its target when the orbit reaches it
+    # its cycle, fixed when that cycle is a fixed point
     n = table.shape[1]
-    end, fixed = sync._walk_ends(table.ravel(), offs * n, x, target)
+    end, fixed = sync._walk_ends(table.ravel(), offs * n, x)
     assert end.shape == fixed.shape == x.shape
     for i in range(x.size):
         f = np.arange(n)
@@ -360,10 +408,7 @@ def _check_walk_ends(table, offs, x, target=None):
         while f[orbit[-1]] not in orbit:
             orbit.append(int(f[orbit[-1]]))
         cycle = orbit[orbit.index(f[orbit[-1]]):]
-        if target is not None and target[i] in orbit:
-            assert end[i] == target[i]
-        else:
-            assert end[i] in cycle and (target is None or end[i] != target[i])
+        assert end[i] in cycle
         assert fixed[i] == (len(cycle) == 1)
 
 
@@ -376,11 +421,6 @@ def test_walk_ends_match_plain_iteration():
     assert end[[0, 3, 4, 5]].tolist() == [0, 3, 3, 0]
     assert fixed.tolist() == [True, False, False, True, True, True, False]
     _check_walk_ends(table, offs, x)
-    # start == target (x = 0 and 3), reached (4 -> 3), unreachable (the rest)
-    target = np.array([0, 0, 3, 3, 3, 3, 3])
-    end, _ = sync._walk_ends(table.ravel(), offs, x, target)
-    assert (end == target).tolist() == [True, False, False, True, True, False, False]
-    _check_walk_ends(table, offs, x, target)
     rng = np.random.default_rng(2024)
     for _ in range(300):
         n = int(rng.integers(1, 51))
@@ -390,7 +430,7 @@ def test_walk_ends_match_plain_iteration():
         else:  # permutations: cycles longer than one check interval
             table = np.array([rng.permutation(n) for _ in range(blocks)])
         offs = rng.integers(0, blocks, size=(steps, walks))
-        _check_walks_and_targets(table, offs, rng.integers(0, n, size=walks), rng)
+        _check_walk_ends(table, offs, rng.integers(0, n, size=walks))
     # rhos whose tail mu and cycle lam each span several checks: the path
     # buffer grows, and the walks of one call end at different checks
     for n in (300, 700, 1000):
@@ -404,21 +444,7 @@ def test_walk_ends_match_plain_iteration():
             table.append(f)
             x += [rho[0], rng.integers(0, n)]
         offs = np.repeat(np.arange(len(table)), 2)[None, :]
-        _check_walks_and_targets(np.array(table), offs, np.array(x), rng)
-
-
-def _check_walks_and_targets(table, offs, x, rng):
-    # every walk plainly, then the walks whose word has a fixed point, each
-    # aimed at one of them
-    n = table.shape[1]
-    _check_walk_ends(table, offs, x)
-    maps = [np.arange(n)] * x.size
-    for row in offs:
-        maps = [table[o][f] for o, f in zip(row, maps)]
-    has = [i for i, f in enumerate(maps) if (f == np.arange(n)).any()]
-    target = np.array([rng.choice(np.flatnonzero(maps[i] == np.arange(n)))
-                       for i in has], dtype=np.int64)
-    _check_walk_ends(table, offs[:, has], x[has], target)
+        _check_walk_ends(np.array(table), offs, np.array(x))
 
 
 def test_block_table_rows_are_block_maps():
@@ -437,12 +463,12 @@ def test_block_table_rows_are_block_maps():
             assert len(table) == len(words)
             for row, u in zip(table, words):
                 assert (row == apply_word_all(A, Word(u))).all()
-            letters = sync._lex_letters(sync._lex_codes(0, min(r ** k, 100), r, k), r, k)
-            offs = sync._block_offsets(letters, r, b, A.n)
-            assert offs.shape == (-(-k // b), len(letters))
-            for i, u in enumerate(letters.tolist()):
+            codes = sync._lex_codes(0, min(r ** k, 100), r, k)
+            offs = sync._block_offsets(codes, r, k, b, A.n)
+            assert offs.shape == (-(-k // b), codes.size)
+            for i, c in enumerate(codes.tolist()):
                 f = sync._map(table.ravel(), offs[:, i], np.arange(A.n))
-                assert (f == apply_word_all(A, Word(u))).all()
+                assert (f == apply_word_all(A, Word(_digits(c, r, k)))).all()
 
 
 def test_pick_tree_length():
