@@ -126,7 +126,7 @@ def _cmd_explore(args):
 
 
 def _input_spec_from_json(payload, A):
-    if not isinstance(payload, dict) or "entries" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
         raise _CliError('input spec must be an object with an "entries" list')
     entries = []
     for item in payload["entries"]:

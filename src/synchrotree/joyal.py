@@ -108,15 +108,15 @@ def unfold_branch(y, word, check=True):
     """
     A = y.automaton
     k = len(word)
+    th = thread(A, y.mark, 0, word)
     if check:
         if not is_w_tree(A, word):
             raise ValueError("not a tree under the word")
-        if thread(A, y.mark, 0, word).cut_time % k != 0:
+        if th.cut_time % k != 0:
             raise ValueError("marked thread closes off congruence 0")
         hits = branch_collisions(y, word, first_only=True)
         if hits:
             raise CollisionError(hits[0])
-    th = thread(A, y.mark, 0, word)
     rs = branch_records(y, word)
     b = rs.vertices
     edges = []

@@ -391,11 +391,12 @@ def run(config, workers=None):
     any files written are identical either way. With config.out set, the
     rows land in a CSV and the config in a .config.json sidecar.
     """
+    # the audit included: with one state it would check nothing and pass
+    if any(n < 2 for n in config.sizes):
+        raise ValueError("sizes: experiments need at least two states")
     if config.experiment == "bijection_audit":
         record = _run_bijection_audit(config)
     else:
-        if any(n < 2 for n in config.sizes):
-            raise ValueError("sizes: experiments need at least two states")
         if config.experiment == "tree_probability" and not config.word:
             raise ValueError("word: required for tree_probability")
         jobs = []

@@ -157,10 +157,18 @@ class CollisionWitness:
 
 def cycle_minima(x, word):
     """Label minima of the cycles of the one-letter view, one per cycle,
-    sorted by decreasing label, plus the predecessor of the last one."""
+    sorted by decreasing label, plus the predecessor of the last one.
+
+    The cycles do not depend on the labeling, so they are computed once per
+    automaton and word and kept in A.view_cycles; as A is immutable they
+    cannot go stale."""
     A = x.automaton
     sigma = x.sigma
-    cycs = cycles(one_letter_view(A, word))
+    if A.view_cycles is None:
+        A.view_cycles = {}
+    cycs = A.view_cycles.get(word.letters)
+    if cycs is None:
+        cycs = A.view_cycles[word.letters] = cycles(one_letter_view(A, word))
     mins = []
     for cyc in cycs:
         v = min(cyc, key=sigma.__getitem__)

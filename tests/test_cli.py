@@ -136,6 +136,8 @@ def test_bijection_audit_cli(capsys):
     assert doc["cardinalities_match"] is True
     rc, _, err = _run(capsys, ["bijection-audit", "--n", "5", "--k", "2"])
     assert rc == 2 and "capped" in err
+    rc, out, err = _run(capsys, ["bijection-audit", "--n", "1", "--k", "2"])
+    assert rc == 2 and out == "" and "at least two states" in err
 
 
 def test_explore_cli_frozen(tmp_path, capsys):
@@ -181,6 +183,9 @@ def test_explore_cli_bad_specs(tmp_path, capsys):
         {"entries": [[0, 1.0, "ab"]]},
         {"entries": [{"state": True, "congruence": 1, "word": "ab"}]},
         {"entries": [{"state": 1, "congruence": "1", "word": "ab"}]},
+        {"entries": 5},
+        {"entries": None},
+        {"entries": {"a": 1}},
     ):
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps(payload))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synchrotree import lab
+from synchrotree import lab, records
 from synchrotree.core import (
     Automaton,
     Word,
@@ -372,6 +372,9 @@ def test_bijection_audit_small():
         assert row[6] == 0
     with pytest.raises(ValueError, match="capped"):
         exp_bijection_audit(4, 2)
+    # an audit over no automaton would report success vacuously
+    with pytest.raises(ValueError, match="at least two states"):
+        exp_bijection_audit(1, 3)
 
 
 def _reference_audit_pair(A, sigmas, w):
@@ -439,6 +442,17 @@ def test_audit_runs_each_map_once_per_input(monkeypatch):
     assert calls == {"fold_cycles": sum(r[3] for r in rows),
                      "unfold_branch": sum(r[4] for r in rows),
                      "is_good_marked_tree": 0}
+
+
+def test_audit_computes_view_cycles_once_per_automaton_and_word(monkeypatch):
+    # every labeling of one automaton under one word shares its cycles
+    calls = []
+    real = records.cycles
+    monkeypatch.setattr(records, "cycles", lambda F: calls.append(F) or real(F))
+    exp_bijection_audit(2, 3)
+    pairs = len(lab._all_automata(2)) * sum(
+        len(list(enumerate_nc_words(k))) for k in (1, 2, 3))
+    assert len(calls) == pairs == 16 * 10
 
 
 def test_audit_fails_both_trips_through_a_raising_map(monkeypatch):

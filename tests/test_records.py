@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from synchrotree.core import (
     thread,
     trial_seed,
 )
+from synchrotree.joyal import fold_cycles
 from synchrotree.records import (
     ALL_TRIPLES,
     FIRST_THEN_SECOND,
@@ -549,3 +551,43 @@ def test_find_collisions_matches_reference_scan(case, which, first_only):
     x, w1, w2 = case
     got = find_collisions(x, w1, w2, which, first_only=first_only)
     assert got == _reference_find(x, w1, w2, which, first_only)
+
+
+@st.composite
+def _warmed_automata(draw):
+    n = draw(st.integers(1, 30))
+    r = draw(st.integers(2, 3))
+    delta = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                          min_size=r, max_size=r))
+    words = st.lists(st.integers(0, r - 1), min_size=1, max_size=5).map(Word)
+    labelings = st.permutations(range(n))
+    warm = draw(st.lists(st.tuples(words, labelings), max_size=6))
+    w, sigma = draw(words), draw(labelings)
+    # the word under test is warmed too, under another labeling
+    warm.append((w, draw(labelings)))
+    return Automaton(delta), warm, w, sigma
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_warmed_automata())
+def test_cycle_minima_memo_is_invisible(case):
+    A, warm, w, sigma = case
+    fresh = Automaton(A.delta)
+    for u, s in warm:
+        cycle_minima(Labeled(A, s), u)
+    assert A.view_cycles
+    x = Labeled(A, sigma)
+    assert cycle_minima(x, w) == cycle_minima(Labeled(fresh, sigma), w)
+    # the kept cycles change no identity of the automaton
+    assert A == fresh and hash(A) == hash(fresh)
+    assert pickle.dumps(A) == pickle.dumps(Automaton(A.delta))
+    copy = pickle.loads(pickle.dumps(A))
+    assert copy == A and copy.view_cycles is None
+    if is_cycle_good(x, w):
+        y, _ = fold_cycles(x, w)
+        assert y.automaton.view_cycles is None
+        rs = cycle_minima(Labeled(y.automaton, sigma), w)
+        assert y.automaton.view_cycles == {w.letters: cycles(one_letter_view(y.automaton, w))}
+        assert rs == cycle_minima(Labeled(Automaton(y.automaton.delta), sigma), w)
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        cycle_minima(x, Word(w.letters + (A.r,)))
