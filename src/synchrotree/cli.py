@@ -221,8 +221,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (_CliError, SchemaError, ValueError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (_CliError, SchemaError, ValueError, OSError, OverflowError,
+            MemoryError) as exc:
+        print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 2
 
 

@@ -227,7 +227,7 @@ class Automaton:
     states are distinguished. Instances are treated as immutable; rewiring
     always builds a new table.
 
-    view_cycles maps word letters to cycles(one_letter_view(self, word)),
+    view_cycles maps word letters to cycles(apply_word_all(self, word)),
     filled by records.cycle_minima on first use. delta is read-only, so an
     entry never goes stale; the map is left out of equality, hashing and
     pickling, and a rewired automaton starts without one.
@@ -356,12 +356,16 @@ def apply_word(A, state, word):
 
 
 def apply_word_all(A, word):
-    """Images of every state under the word."""
+    """Images of every state under the word: the successor array of A's
+    one-letter view under word, which the functional-graph kernel takes."""
     _check_word(A, word)
     states = np.arange(A.n, dtype=np.int64)
     for l in word.letters:
         states = A.delta[l, states]
     return states
+
+
+one_letter_view = apply_word_all  # the view's name for its successor array
 
 
 class Thread:
@@ -388,9 +392,6 @@ class Thread:
     @property
     def is_cyclic(self):
         return self.twin_time == 0
-
-    def vertex(self, t):
-        return self.entries[t][0]
 
     def __repr__(self):
         return "Thread(start=%r, cut_time=%d, twin_time=%d)" % (
@@ -434,38 +435,27 @@ def thread(A, u, r, word):
     return Thread((u, r), word, tuple(entries), t, seen[key])
 
 
-class FunctionalGraph:
-    """succ[v] is the unique out-neighbor of v."""
-
-    __slots__ = ("n", "succ")
-
-    def __init__(self, succ):
-        arr = np.array(succ)
-        if arr.ndim != 1:
-            raise ValueError("succ must be one-dimensional")
-        n = arr.shape[0]
-        if n < 1:
-            raise ValueError("need at least one vertex")
-        rows = () if isinstance(succ, np.ndarray) else (succ,)
-        arr = _int64_copy(arr, n, "successor", rows)
-        self.succ = arr
-        self.n = n
-
-    def __repr__(self):
-        return "FunctionalGraph(%r)" % (self.succ.tolist(),)
+def _successors(succ):
+    """succ as int64, once checked to be a successor array: a non-empty 1-d
+    numpy integer array with entries in range(n), else ValueError. An int64
+    array is neither copied nor changed; other integer dtypes are converted."""
+    if not (isinstance(succ, np.ndarray) and succ.ndim == 1 and succ.size
+            and succ.dtype.kind in "iu"):
+        raise ValueError("successors must be a non-empty 1-d numpy integer array")
+    succ = succ.astype(np.int64, copy=False)
+    if succ.view(np.uint64).max() >= succ.size:  # negatives wrap past n
+        raise ValueError("successor out of range")
+    return succ
 
 
-def one_letter_view(A, word):
-    """The map state -> apply_word(state, word), as a functional graph."""
-    return FunctionalGraph(apply_word_all(A, word))
-
-
-def cycles(F):
-    """All cycles of the graph, each listed in successor order."""
-    succ = F.succ.tolist()
-    walk = [-1] * F.n  # the start of the walk that first reached each vertex
+def cycles(succ):
+    """All cycles of the map v -> succ[v], each listed in successor order.
+    succ is a successor array, as apply_word_all returns."""
+    succ = _successors(succ).tolist()
+    n = len(succ)
+    walk = [-1] * n  # the start of the walk that first reached each vertex
     out = []
-    for s in range(F.n):
+    for s in range(n):
         if walk[s] >= 0:
             continue
         v = s
@@ -483,20 +473,21 @@ def cycles(F):
     return tuple(out)
 
 
-def cyclic_points(F):
-    """Vertices lying on some cycle of the graph."""
-    return frozenset(v for cyc in cycles(F) for v in cyc)
+def cyclic_points(succ):
+    """Vertices lying on some cycle of the map v -> succ[v]."""
+    return frozenset(v for cyc in cycles(succ) for v in cyc)
 
 
-def height(F):
-    """Length of the longest vertex-repetition-free chain of transitions.
+def height(succ):
+    """Length of the longest vertex-repetition-free chain of transitions
+    of the map v -> succ[v], for a successor array succ.
 
     Per start vertex the chain is forced, so this is distance-to-cycle plus
     cycle length minus one, maximized over vertices. For a loop-rooted tree
     it is the maximum distance to the root.
     """
-    succ = F.succ
-    n = F.n
+    succ = _successors(succ)
+    n = succ.size
     # strip in-degree-0 vertices round by round: one stripped in round t
     # heads a chain of t vertices, and the vertices never stripped are cyclic
     indeg = np.bincount(succ, minlength=n)
@@ -529,8 +520,8 @@ def height(F):
 
 
 def loop_root(succ):
-    """The root when the successor array succ (integer numpy) is a
-    loop-rooted tree, else None.
+    """The root when the map v -> succ[v], for a successor array succ, is
+    a loop-rooted tree, else None.
 
     A tree has exactly one fixed point r, which rejects most maps with one
     comparison. Then count the states g = succ^(2^m) sends to r while
@@ -538,6 +529,7 @@ def loop_root(succ):
     distance in (2^m, 2^(m+1)], so a count that stops growing means r's
     basin is not everything.
     """
+    succ = _successors(succ)
     fixed = np.flatnonzero(succ == np.arange(succ.size))
     if fixed.size != 1:
         return None

@@ -34,10 +34,10 @@ class InputSpec:
                         for u, r, w in self.entries)
         if not entries:
             raise ValueError("need at least one entry")
+        if not all(isinstance(w, Word) for _, _, w in entries):
+            raise ValueError("entry words must be Word objects")
         k = len(entries[0][2])
         for u, r, w in entries:
-            if not isinstance(w, Word):
-                raise ValueError("entry words must be Word objects")
             if len(w) != k:
                 raise ValueError("all words must have the same length")
             if not 0 <= r < k:

@@ -19,6 +19,7 @@ from itertools import permutations, product
 from .core import (
     Automaton,
     Word,
+    apply_word_all,
     automaton_from_json,
     count_nc_words,
     enumerate_nc_words,
@@ -26,7 +27,6 @@ from .core import (
     is_w_tree,
     height,
     is_finite_number,
-    one_letter_view,
     parse_word,
     random_automaton,
     random_nc_word,
@@ -155,7 +155,10 @@ def resolve_k(rule, n):
         return max(1, int(value))
     if kind == "log2":
         return pick_tree_length(n, value)
-    return max(1, math.ceil(value * math.log(n)))
+    k = value * math.log(n)
+    if not math.isfinite(k):
+        raise ValueError("k_rule: ln factor %r gives no finite k at n = %d" % (value, n))
+    return max(1, math.ceil(k))
 
 
 @dataclass(frozen=True)
@@ -239,7 +242,7 @@ def _row_height(cfg, n, k, trial, seed):
     rng = rng_from_seed(seed)
     A = random_automaton(n, seed=rng)
     w = Word(rng.integers(0, A.r, size=k).tolist())
-    h = height(one_letter_view(A, w))
+    h = height(apply_word_all(A, w))
     return (n, trial, k, h, int(h > 5 * math.sqrt(n)))
 
 

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 from .core import (
     Word,
+    apply_word_all,
     are_conjugate,
     as_index,
     cycles,
     is_self_conjugate,
     is_w_tree,
-    one_letter_view,
     thread,
 )
 
@@ -168,7 +168,7 @@ def cycle_minima(x, word):
         A.view_cycles = {}
     cycs = A.view_cycles.get(word.letters)
     if cycs is None:
-        cycs = A.view_cycles[word.letters] = cycles(one_letter_view(A, word))
+        cycs = A.view_cycles[word.letters] = cycles(apply_word_all(A, word))
     mins = []
     for cyc in cycs:
         v = min(cyc, key=sigma.__getitem__)

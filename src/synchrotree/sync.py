@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import (
     Automaton,
-    FunctionalGraph,
     Word,
     apply_word_all,
     as_index,
@@ -237,9 +236,7 @@ def _tree_words(A, k, batches):
         root = loop_root(f)
         if root is None:
             return None
-        F = FunctionalGraph(f)
-        del f  # F holds a copy; free f before height's n-sized arrays
-        return _word(c, r, k), height(F), root
+        return _word(c, r, k), height(f), root
 
     def rotations_below(c):
         while pending and pending[0] < c:
@@ -289,10 +286,11 @@ def find_tree_word(A, k, budget=None):
 
 def pick_tree_length(n, epsilon=0.2):
     """Word length for the tree search: ceil((1+epsilon) log2 n), floored
-    at 1 and capped at ceil(2 log2 n)."""
+    at 1 and capped at ceil(2 log2 n). Clamping epsilon to [-1, 1] first
+    gives the same k and keeps the product finite."""
     if not is_finite_number(epsilon):
         raise ValueError("epsilon must be finite, got %r" % (epsilon,))
-    k = math.ceil((1 + epsilon) * math.log2(n))
+    k = math.ceil((1 + min(max(epsilon, -1), 1)) * math.log2(n))
     return max(1, min(k, math.ceil(2 * math.log2(n))))
 
 

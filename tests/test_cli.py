@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from synchrotree import cli
 from synchrotree.cli import main
 from synchrotree.core import Automaton
 from synchrotree.lab import save_automaton
@@ -274,6 +275,10 @@ def test_missing_and_malformed_files(tmp_path, capsys):
                              ("height", "k_rule", {"type": "explicit", "value": 10**400}),
                              ("height", "k_rule", {"type": "log2", "epsilon": 10**400}),
                              ("height", "k_rule", {"type": "ln", "factor": -10**400}),
+                             # finite factors whose k is not: factor * ln n is inf
+                             ("height", "k_rule", {"type": "ln", "factor": 1e308}),
+                             ("goodness", "k_rule", {"type": "ln", "factor": 1e308}),
+                             ("moment_estimate", "k_rule", {"type": "ln", "factor": 1e308}),
                              ("height", "seed", 1.5), ("height", "seed", True),
                              ("height", "sizes", [8.5]), ("scaling", "budget", True),
                              ("scaling", "budget", 2.5), ("scaling", "budget", "3"),
@@ -293,6 +298,42 @@ def test_missing_and_malformed_files(tmp_path, capsys):
         rc, out, err = _run(capsys, ["experiment", "goodness", "--config", str(cfg)])
         assert rc == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_overflowing_lengths(tmp_path, capsys, monkeypatch):
+    # a log2 rule's epsilon past 1 gives the capped k, as epsilon 1 does
+    cfg = tmp_path / "eps.json"
+    for name in ("height", "goodness", "moment_estimate"):
+        outs = []
+        for epsilon in (1, 1e308):
+            cfg.write_text(json.dumps({"experiment": name, "sizes": [8], "trials": 2,
+                                       "k_rule": {"type": "log2", "epsilon": epsilon}}))
+            rc, out, err = _run(capsys, ["experiment", name, "--config", str(cfg)])
+            assert rc == 0 and err == ""
+            outs.append(out)
+        assert outs[0] == outs[1]
+        # an explicit k past any word length is an error, not a traceback
+        cfg.write_text(json.dumps({"experiment": name, "sizes": [8], "trials": 2,
+                                   "k_rule": {"type": "explicit", "value": 1e300}}))
+        rc, out, err = _run(capsys, ["experiment", name, "--config", str(cfg)])
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+    path = _write(tmp_path, "a.json", A3)
+    certs = {}
+    for epsilon in ("1", "1e308", "-1e308"):
+        rc, out, err = _run(capsys, ["sync", "--in", path, "--epsilon=" + epsilon])
+        assert rc == 0 and err == ""
+        certs[epsilon] = json.loads(out)
+    assert certs["1e308"] == certs["1"] and len(certs["1"]["tree_word"]) == 4
+    assert certs["-1e308"]["tree_word"] == "b"
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "random_automaton", out_of_memory)
+    rc, out, err = _run(capsys, ["gen", "--n", "100000000000"])
+    assert rc == 2 and out == "" and err == "error: MemoryError\n"
 
 
 def test_sync_bad_search_arguments(tmp_path, capsys):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from synchrotree.core import (
     Automaton,
-    FunctionalGraph,
     SchemaError,
     Word,
     apply_word,
@@ -150,17 +149,27 @@ def test_automaton_validation():
     assert Automaton(np.array([[1, 0], [0, 0]], dtype=np.uint8)) == A
 
 
-def test_functional_graph_copies_integer_input():
+def test_kernel_refuses_all_but_successor_arrays():
+    # cycles, cyclic_points, height and loop_root take a successor array of
+    # any integer dtype and leave the caller's array writeable
     a = np.array([1, 0, 0])
-    F = FunctionalGraph(a)
-    assert a.flags.writeable and F.succ is not a and not F.succ.flags.writeable
-    assert F.succ.dtype == np.int64 and F.succ.tolist() == [1, 0, 0]
-    for succ in ([0.5, 0], [True, False], ["1", "0"], np.zeros(2), [True, 0],
-                 (0, np.False_)):
-        with pytest.raises(ValueError, match="integer"):
-            FunctionalGraph(succ)
-    with pytest.raises(ValueError, match="range"):
-        FunctionalGraph([0, 2])
+    for fn, want in ((cycles, ((0, 1),)), (cyclic_points, {0, 1}),
+                     (height, 2), (loop_root, None)):
+        assert fn(a) == want and a.flags.writeable
+        assert fn(a.astype(np.uint8)) == want
+        # non-integer dtypes are refused rather than truncated; numpy turns
+        # a bool among ints into 0 or 1, so the bool mixes are refused as
+        # the lists they are
+        for succ in (np.array([0.5, 0]), np.array([True, False]),
+                     np.array(["1", "0"]), np.zeros(2), [True, 0], (0, np.False_),
+                     np.array([True, 0], dtype=object), [0, 0], np.array([[0]]),
+                     np.array([], dtype=np.int64)):
+            with pytest.raises(ValueError, match="integer"):
+                fn(succ)
+        for succ in ([0, 2], [0, -2], [0, -1, 1], [0, 5]):
+            with pytest.raises(ValueError, match="range"):
+                fn(np.array(succ))
+    assert loop_root(np.array([0, 0, 1], dtype=np.uint8)) == 0
 
 
 def test_rows_built_lazily_match_eager_rows():
@@ -275,12 +284,12 @@ def test_thread_invariants_random():
 
 
 def test_one_letter_view_and_cyclic_points():
-    assert one_letter_view(A3, Word("b")).succ.tolist() == [0, 0, 0]
-    assert one_letter_view(A3, Word("a")).succ.tolist() == [1, 2, 0]
-    assert one_letter_view(A3, AB).succ.tolist() == [0, 0, 0]
+    assert one_letter_view(A3, Word("b")).tolist() == [0, 0, 0]
+    assert one_letter_view(A3, Word("a")).tolist() == [1, 2, 0]
+    assert one_letter_view(A3, AB).tolist() == [0, 0, 0]
     assert cyclic_points(one_letter_view(A3, AB)) == {0}
-    assert cyclic_points(FunctionalGraph([0, 0, 0])) == {0}
-    assert cyclic_points(FunctionalGraph([1, 2, 0])) == {0, 1, 2}
+    assert cyclic_points(np.array([0, 0, 0])) == {0}
+    assert cyclic_points(np.array([1, 2, 0])) == {0, 1, 2}
 
 
 def test_is_w_tree():
@@ -328,22 +337,22 @@ def test_is_w_tree_conjugation_and_power_invariant(case):
 
 
 def test_height():
-    assert height(FunctionalGraph([0, 0, 0])) == 1
-    assert height(FunctionalGraph([0, 1, 2])) == 0
+    assert height(np.array([0, 0, 0])) == 1
+    assert height(np.array([0, 1, 2])) == 0
     assert height(one_letter_view(A3, AB)) == 1
     # chain 3 -> 2 -> 1 -> 0 -> 0
-    assert height(FunctionalGraph([0, 0, 1, 2])) == 3
+    assert height(np.array([0, 0, 1, 2])) == 3
 
 
-def _reference_height(F):
+def _reference_height(f):
     # the former pure-Python height: cycles from cycles(), then depths by a
     # walk over predecessor lists
-    succ = F.succ.tolist()
-    n = F.n
+    succ = f.tolist()
+    n = len(succ)
     on_cycle = [False] * n
     clen = [0] * n
     best = 0
-    for cyc in cycles(F):
+    for cyc in cycles(f):
         for v in cyc:
             on_cycle[v] = True
             clen[v] = len(cyc)
@@ -406,12 +415,13 @@ def _broom(n, cyc, handle, seed):
     return succ
 
 
-def _reference_cycles(F):
+def _reference_cycles(f):
     # the cycle lister before it tagged vertices with their walk's start
-    succ = F.succ.tolist()
-    state = [0] * F.n  # 0 fresh, 1 on the active path, 2 finished
+    succ = f.tolist()
+    n = len(succ)
+    state = [0] * n  # 0 fresh, 1 on the active path, 2 finished
     out = []
-    for s in range(F.n):
+    for s in range(n):
         if state[s]:
             continue
         path = []
@@ -430,11 +440,11 @@ def _reference_cycles(F):
 @settings(max_examples=300, deadline=None)
 @given(succ=_maps())
 def test_height_and_loop_root_match_cycle_references(succ):
-    F = FunctionalGraph(succ)
-    assert cycles(F) == _reference_cycles(F)
-    assert height(F) == _reference_height(F)
-    pts = cyclic_points(F)
-    assert loop_root(F.succ) == (min(pts) if len(pts) == 1 else None)
+    f = np.array(succ)
+    assert cycles(f) == _reference_cycles(f)
+    assert height(f) == _reference_height(f)
+    pts = cyclic_points(f)
+    assert loop_root(f) == (min(pts) if len(pts) == 1 else None)
 
 
 def test_shift():
@@ -489,7 +499,7 @@ def test_cayley_count():
     for n in range(2, 7):
         total = 0
         for succ in itertools.product(range(n), repeat=n):
-            if len(cyclic_points(FunctionalGraph(succ))) == 1:
+            if len(cyclic_points(np.array(succ))) == 1:
                 total += 1
         assert total == n ** (n - 1)
 

@@ -326,9 +326,13 @@ def test_input_spec_validation():
         explore(A3, spec)
     with pytest.raises(ValueError):
         explore(A3, InputSpec(((0, 0, Word((0, 2))),)))
-    for word in ("ab", (0, 1)):
+    # checked before the lengths, so a word with no length gives the same
+    # error, in any entry
+    for word in ("ab", (0, 1), 5, None):
         with pytest.raises(ValueError, match="Word"):
             explore(A3, InputSpec(((0, 0, word),)))
+        with pytest.raises(ValueError, match="Word"):
+            InputSpec(((0, 0, Word("ab")), (1, 0, word)))
 
 
 def test_spec_properties():

@@ -116,6 +116,8 @@ def test_resolve_k():
     assert resolve_k(("explicit", 0), 1000) == 1
     assert resolve_k(("log2", 0.2), 512) == 11
     assert resolve_k(("ln", 1.0), 10000) == math.ceil(math.log(10000))
+    with pytest.raises(ValueError, match="k_rule"):
+        resolve_k(("ln", 1e308), 8)
 
 
 def _goodness_cfg(out=None):

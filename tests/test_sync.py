@@ -17,7 +17,6 @@ from synchrotree import sync
 from synchrotree.cli import main
 from synchrotree.core import (
     Automaton,
-    FunctionalGraph,
     Word,
     apply_word_all,
     cyclic_points,
@@ -117,7 +116,7 @@ def _reference_tree_words(A, k):
             images = list(range(A.n))
             H = 0
             while any(v != root for v in images):
-                images = [int(F.succ[v]) for v in images]
+                images = [int(F[v]) for v in images]
                 H += 1
             out.append((examined - 1, (w, H, root)))
     return out
@@ -264,7 +263,7 @@ def _check_whole_rotation_classes(A, k, hits, end):
     found = set(index)
     for w, H, root in hits:
         f = apply_word_all(A, w)
-        assert (H, root) == (height(FunctionalGraph(f)), loop_root(f))
+        assert (H, root) == (height(f), loop_root(f))
         for d in range(1, k):
             rotation = _index(w.letters[d:] + w.letters[:d], r)
             assert (rotation in found) == (rotation < end)
@@ -356,7 +355,7 @@ def _reference_iter_tree_words(A, k, budget=None):
     for letters, f in islice(_reference_trie_maps(A, k), budget):
         root = loop_root(f)
         if root is not None:
-            yield Word(letters), height(FunctionalGraph(f)), root
+            yield Word(letters), height(f), root
 
 
 @settings(max_examples=30, deadline=None)
@@ -480,6 +479,9 @@ def test_pick_tree_length():
     for n in (2, 5, 64, 1000):
         k = pick_tree_length(n)
         assert 1 <= k <= math.ceil(2 * math.log2(n))
+        # any finite epsilon stays in range: (1 + 1e308) log2 n is inf
+        assert pick_tree_length(n, 1e308) == pick_tree_length(n, 1.0)
+        assert pick_tree_length(n, -1e308) == pick_tree_length(n, -1.0) == 1
     for epsilon in (math.inf, -math.inf, math.nan, 10**400):
         with pytest.raises(ValueError):
             pick_tree_length(64, epsilon)
