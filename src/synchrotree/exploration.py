@@ -56,26 +56,23 @@ class InputSpec:
 class ExplorationTrace:
     """Everything one exploration run exposed, in order.
 
-    events[t] is the (vertex, congruence, word id) triple visited at time t;
-    steps are stored as parallel lists over the same times. boundaries[j] is
-    the start time of thread j, with boundaries[d] the final time.
+    events[t] is the (vertex, congruence, word id) triple visited at time t,
+    and the step from it traverses the labeled edge it reads in the
+    automaton; step_explores and step_hits flag the steps. boundaries[j] is
+    the start time of thread j, with boundaries[d] the final time, so thread
+    j closes on step boundaries[j + 1] - 1 when it took any.
     """
 
     def __init__(self, automaton, spec, words, word_ids, events, boundaries,
-                 step_src, step_letter, step_dst, step_explores, step_hits,
-                 step_closes, closings, revealed):
+                 step_explores, step_hits, closings, revealed):
         self.automaton = automaton
         self.spec = spec
         self.words = words
         self.word_ids = word_ids
         self.events = events
         self.boundaries = boundaries
-        self.step_src = step_src
-        self.step_letter = step_letter
-        self.step_dst = step_dst
         self.step_explores = step_explores
         self.step_hits = step_hits
-        self.step_closes = step_closes
         self.closings = closings
         self.revealed = revealed
 
@@ -130,12 +127,8 @@ def explore(A, spec):
     events = []
     eset = set()
     revealed = {}
-    step_src = []
-    step_letter = []
-    step_dst = []
     step_explores = []
     step_hits = []
-    step_closes = []
     visited = bytearray(A.n)
     boundaries = [0]
     closings = []
@@ -159,23 +152,17 @@ def explore(A, spec):
                 dst = known[0]
                 step_explores.append(False)
                 step_hits.append(False)
-            step_src.append(x)
-            step_letter.append(letter)
-            step_dst.append(dst)
-            step_closes.append(False)
             x = dst
             y += 1
             if y == k:
                 y = 0
             key = (x * k + y) * nwords + wid
-        if boundaries[-1] < len(events):
-            step_closes[-1] = True
         closings.append((x, y, wid))
         boundaries.append(len(events))
     return ExplorationTrace(
         A, spec, tuple(words), tuple(wid for _, _, wid in entry_ids),
-        events, tuple(boundaries), step_src, step_letter, step_dst,
-        step_explores, step_hits, step_closes, tuple(closings), revealed,
+        events, tuple(boundaries), step_explores, step_hits, tuple(closings),
+        revealed,
     )
 
 
@@ -197,16 +184,6 @@ def _arrival_tag(trace, t):
     if trace.step_hits[t - 1]:
         return "hitting"
     return "exploring" if trace.step_explores[t - 1] else "following"
-
-
-def hit_counts(trace):
-    """Cumulative hits h_t, one entry per time step, inclusive."""
-    out = []
-    h = 0
-    for flag in trace.step_hits:
-        h += flag
-        out.append(h)
-    return out
 
 
 def _revealed_graph(trace, t=None):
@@ -302,6 +279,14 @@ def check_equi(trace):
     return True
 
 
+def _step_edges(trace, start=0, stop=None):
+    # the labeled edge (src, letter, dst) of each step from start to stop
+    rows = trace.automaton.rows
+    for x, y, wid in islice(trace.events, start, stop):
+        letter = trace.words[wid].letters[y]
+        yield x, letter, rows[letter][x]
+
+
 def check_degree_sums(trace):
     """Both branching-degree sums stay at or below twice the hits, every
     prefix; only exploring steps add edges."""
@@ -311,10 +296,9 @@ def check_degree_sums(trace):
     in_sum = 0
     out_sum = 0
     h = 0
-    for t in range(trace.final_time):
-        if trace.step_explores[t]:
-            src = trace.step_src[t]
-            dst = trace.step_dst[t]
+    steps = zip(_step_edges(trace), trace.step_explores, trace.step_hits)
+    for (src, _, dst), explores, hit in steps:
+        if explores:
             outdeg[src] += 1
             if outdeg[src] == 2:
                 out_sum += 2
@@ -325,7 +309,7 @@ def check_degree_sums(trace):
                 in_sum += 2
             elif indeg[dst] > 2:
                 in_sum += 1
-        h += trace.step_hits[t]
+        h += hit
         if in_sum > 2 * h or out_sum > 2 * h:
             return False
     return True
@@ -399,16 +383,8 @@ def check_path_exceptions(trace):
 
 def thread_edge_runs(trace):
     """Per thread, the labeled edge sequence it traversed."""
-    runs = []
-    for j in range(trace.d):
-        a, b = trace.boundaries[j], trace.boundaries[j + 1]
-        runs.append(
-            [
-                (trace.step_src[t], trace.step_letter[t], trace.step_dst[t])
-                for t in range(a, b)
-            ]
-        )
-    return runs
+    b = trace.boundaries
+    return [list(_step_edges(trace, b[j], b[j + 1])) for j in range(trace.d)]
 
 
 def check_trajectory_overlaps(trace):

@@ -16,11 +16,11 @@ from .records import (
     Labeled,
     MarkedLabeled,
     SECOND_THEN_FIRST,
-    branch_collisions,
+    branch_collision,
     branch_records,
-    cycle_collisions,
+    cycle_collision,
     cycle_minima,
-    find_collisions,
+    find_collision,
 )
 
 
@@ -81,9 +81,9 @@ def fold_cycles(x, word, check=True):
     raises CollisionError with the offending arrival.
     """
     if check:
-        hits = cycle_collisions(x, word, first_only=True)
-        if hits:
-            raise CollisionError(hits[0])
+        witness = cycle_collision(x, word)
+        if witness is not None:
+            raise CollisionError(witness)
     A = x.automaton
     k = len(word)
     rs = cycle_minima(x, word)
@@ -114,9 +114,9 @@ def unfold_branch(y, word, check=True):
             raise ValueError("not a tree under the word")
         if th.cut_time % k != 0:
             raise ValueError("marked thread closes off congruence 0")
-        hits = branch_collisions(y, word, first_only=True)
-        if hits:
-            raise CollisionError(hits[0])
+        witness = branch_collision(y, word)
+        if witness is not None:
+            raise CollisionError(witness)
     rs = branch_records(y, word)
     b = rs.vertices
     edges = []
@@ -152,9 +152,9 @@ def unfold_pair(x, w1, w2, order=(1, 2), check=True):
             if thread(A, marks[i], 0, words[i]).cut_time % len(words[i]) != 0:
                 raise ValueError("coordinate %d closes off congruence 0" % i)
         triples = FIRST_THEN_SECOND if order == (1, 2) else SECOND_THEN_FIRST
-        hits = find_collisions(x, w1, w2, triples, first_only=True)
-        if hits:
-            raise CollisionError(hits[0])
+        witness = find_collision(x, w1, w2, triples)
+        if witness is not None:
+            raise CollisionError(witness)
         before = branch_records(
             MarkedLabeled(A, marks[second], sigmas[second]), words[second]
         )

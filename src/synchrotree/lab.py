@@ -12,6 +12,7 @@ import math
 import numbers
 import os
 import statistics
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from itertools import permutations, product
@@ -40,7 +41,7 @@ from .records import (
     DoubleMarked,
     Labeled,
     MarkedLabeled,
-    find_collisions,
+    _first_arrival,
     is_branch_good,
     is_cycle_good,
     is_good_marked_tree,
@@ -79,6 +80,11 @@ class ExperimentConfig:
         if not all(_is_whole(n) and n >= 1 for n in self.sizes):
             raise ValueError("sizes: expected whole numbers >= 1")
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
+        if not self.sizes or len(set(self.sizes)) < len(self.sizes):
+            raise ValueError("sizes: expected at least one size, none repeated")
+        for key in ("word", "out"):
+            if not isinstance(getattr(self, key), (str, type(None))):
+                raise ValueError("%s: expected null or a string" % key)
         if not (_is_whole(self.trials) and self.trials >= 1):
             raise ValueError("trials: expected a whole number >= 1")
         object.__setattr__(self, "trials", int(self.trials))
@@ -151,13 +157,12 @@ def config_from_json(doc):
 
 def resolve_k(rule, n):
     kind, value = rule
-    if kind == "explicit":
-        return max(1, int(value))
     if kind == "log2":
         return pick_tree_length(n, value)
-    k = value * math.log(n)
-    if not math.isfinite(k):
-        raise ValueError("k_rule: ln factor %r gives no finite k at n = %d" % (value, n))
+    k = value if kind == "explicit" else value * math.log(n)
+    if not (math.isfinite(k) and k <= sys.maxsize):
+        raise ValueError("k_rule: %s %r gives no k up to %d at n = %d"
+                         % (_RULE_KEYS[kind], value, sys.maxsize, n))
     return max(1, math.ceil(k))
 
 
@@ -233,9 +238,9 @@ def _row_goodness(cfg, n, k, trial, seed):
     x = DoubleLabeled(A, random_labeling(n, rng), random_labeling(n, rng))
     # has_minima_collision's scan; it finishes triple (1, 1, 1), the
     # cycle-good event of sigma1 under w1, before any other triple
-    hits = find_collisions(x, w1, w2, ALL_TRIPLES, first_only=True)
-    cycle_bad = bool(hits) and hits[0].ihj == (1, 1, 1)
-    return (n, trial, k, int(cycle_bad), int(bool(hits)))
+    arrival = _first_arrival(x, w1, w2, ALL_TRIPLES)
+    cycle_bad = arrival is not None and arrival[0] == (1, 1, 1)  # its triple
+    return (n, trial, k, int(cycle_bad), int(arrival is not None))
 
 
 def _row_height(cfg, n, k, trial, seed):
@@ -536,7 +541,7 @@ def _commutation_audit(autos, w1, w2, trees1, trees2):
     for i, v1, sigma1 in trees1:
         for v2, sigma2 in second.get(i, ()):
             x = DoubleMarked(autos[i], v1, v2, sigma1, sigma2)
-            if find_collisions(x, w1, w2, ALL_TRIPLES, first_only=True):
+            if _first_arrival(x, w1, w2, ALL_TRIPLES) is not None:
                 continue
             y12, _ = unfold_pair(x, w1, w2, order=(1, 2))
             y21, _ = unfold_pair(x, w1, w2, order=(2, 1))

@@ -4,9 +4,10 @@ A labeling sigma is a permutation of the states, read as a priority order.
 Record sets collect the distinguished vertices where the rewiring bijection
 deletes and reattaches edges; the good events rule out thread arrivals that
 would make those rewirings ambiguous. One thread walk, _scan_collisions,
-finds every such arrival: the one-word events scan a single record set,
-and find_collisions scans (i, h, j) triples across two coordinates, on
-their cycle minima or on their branch records.
+finds the first such arrival: the one-word events scan a single record
+set, and find_collision scans (i, h, j) triples across two coordinates, on
+their cycle minima or on their branch records. The predicates build no
+CollisionWitness; only the *_collision functions do.
 """
 
 import itertools
@@ -214,17 +215,17 @@ def _indexed(vertices):
     return out
 
 
-def _scan_collisions(A, word, source_index, targets, first_only):
-    """Arrivals of the source threads, walked under word, on target vertices.
+def _scan_collisions(A, word, source_index, targets):
+    """The first arrival of the source threads, walked under word, on the
+    targets, (ihj, target index, skip_zero) in scan order, or None.
 
-    targets lists (ihj, target index, skip_zero) in scan order. Each thread
-    is walked once for all of them, and the witnesses come out target by
-    target, then by source index, congruence and time. The start pair
-    itself is not an arrival; with skip_zero the unavoidable congruence-0
-    returns are ignored too.
+    First is by target, then source index, congruence and time. An arrival
+    (ihj, p, q, v, r, s, time) is the thread of source v (index p) from
+    congruence r reaching target index q at congruence s after time steps.
+    The start pair is no arrival, nor with skip_zero a congruence-0 return.
 
-    With first_only only the first witness in that order is returned. A
-    target that can no longer supply it is no longer checked, and a thread
+    Each thread is walked once for all targets. A target that can no
+    longer supply the first arrival is no longer checked, and a thread
     stops on a pair that an earlier thread left clean: that pair and all
     pairs after it are no arrival on any target still checked.
     """
@@ -235,20 +236,9 @@ def _scan_collisions(A, word, source_index, targets, first_only):
     for m, (_, index, skip_zero) in enumerate(targets):
         for u, q in index.items():
             marks.setdefault(u, []).append((m, q, skip_zero))
-    found = [[] for _ in targets]
+    best = None  # the first arrival so far on target number live
     live = len(targets)  # targets from number live on are no longer checked
     clean = set()
-
-    def witness(m, p, q, v, r, s, time):
-        # re-walk the thread to the arrival for the path
-        path = [(v, r)]
-        u, c = v, r
-        for _ in range(time):
-            u = rows[letters[c]][u]
-            c = c + 1 if c + 1 < k else 0
-            path.append((u, c))
-        return CollisionWitness(targets[m][0], p, q, r, s, tuple(path))
-
     for v, p in sorted(source_index.items(), key=lambda kv: kv[1]):
         for r in range(k):
             start = v * k + r
@@ -271,46 +261,64 @@ def _scan_collisions(A, word, source_index, targets, first_only):
                     continue
                 for m, q, skip_zero in hits:
                     if m < live and not (skip_zero and c == 0):
-                        found[m].append((p, q, v, r, c, time))
-                        if first_only:
-                            if m == 0:
-                                return [witness(0, p, q, v, r, c, time)]
-                            live = m
-            if first_only:
-                # the start pair was never checked as an arrival: keep it out
-                # of clean, and the whole thread too if it closed on the start
-                # and the start is an arrival
-                if key != start:
-                    own.discard(start)
-                elif any(m < live and not (skip_zero and r == 0)
-                         for m, _, skip_zero in marks.get(v, ())):
-                    continue
-                clean |= own
-    if first_only:
-        return [witness(live, *found[live][0])] if live < len(targets) else []
-    return [witness(m, *hit) for m, hits in enumerate(found) for hit in hits]
+                        best = (targets[m][0], p, q, v, r, c, time)
+                        if m == 0:
+                            return best
+                        live = m
+            # the start pair was never checked as an arrival: keep it out of
+            # clean, and the whole thread too if it closed on the start and
+            # the start is an arrival
+            if key != start:
+                own.discard(start)
+            elif any(m < live and not (skip_zero and r == 0)
+                     for m, _, skip_zero in marks.get(v, ())):
+                continue
+            clean |= own
+    return best
 
 
-def cycle_collisions(x, word, first_only=False):
-    idx = _indexed(cycle_minima(x, word).vertices)
-    return _scan_collisions(x.automaton, word, idx, [((1, 1, 1), idx, True)], first_only)
+def _witness(A, words, arrival):
+    # the arrival as a CollisionWitness, re-walking the thread for its path
+    # under the word h of its triple (i, h, j)
+    if arrival is None:
+        return None
+    ihj, p, q, v, r, s, time = arrival
+    word = words[ihj[1] - 1]
+    path = [(v, r)]
+    u, c = v, r
+    for _ in range(time):
+        u = A.rows[word.letters[c]][u]
+        c = c + 1 if c + 1 < len(word) else 0
+        path.append((u, c))
+    return CollisionWitness(ihj, p, q, r, s, tuple(path))
+
+
+def _own_arrival(z, word, records):
+    # the first arrival of z's record threads on its own records
+    idx = _indexed(records(z, word).vertices)
+    return _scan_collisions(z.automaton, word, idx, [((1, 1, 1), idx, True)])
+
+
+def cycle_collision(x, word):
+    """The first arrival that makes x cycle-bad, as a CollisionWitness, or None."""
+    return _witness(x.automaton, (word,), _own_arrival(x, word, cycle_minima))
+
+
+def branch_collision(y, word):
+    """The first arrival that makes y branch-bad, as a CollisionWitness, or None."""
+    return _witness(y.automaton, (word,), _own_arrival(y, word, branch_records))
 
 
 def is_cycle_good(x, word):
     """No cycle-minimum thread ever arrives at a cycle minimum off
     congruence 0."""
-    return not cycle_collisions(x, word, first_only=True)
-
-
-def branch_collisions(y, word, first_only=False):
-    idx = _indexed(branch_records(y, word).vertices)
-    return _scan_collisions(y.automaton, word, idx, [((1, 1, 1), idx, True)], first_only)
+    return _own_arrival(x, word, cycle_minima) is None
 
 
 def is_branch_good(y, word):
     """No branch-record thread ever arrives at a branch record off
     congruence 0."""
-    return not branch_collisions(y, word, first_only=True)
+    return _own_arrival(y, word, branch_records) is None
 
 
 def is_good_marked_tree(y, word):
@@ -333,16 +341,8 @@ def _check_word_pair(w1, w2):
         raise ValueError("words must not be conjugate")
 
 
-def find_collisions(x, w1, w2, which, first_only=False):
-    """Witnesses for the given (i, h, j) triples on a two-coordinate
-    configuration: threads start at coordinate i's records, walk under
-    word h, and arrivals on coordinate j's records count unless j == h and
-    the arrival congruence is 0. The records are the branch records of a
-    DoubleMarked and the cycle minima of a DoubleLabeled.
-
-    Scan order is the given triple order, then source index, then
-    congruence, then time, so the first witness is deterministic.
-    """
+def _first_arrival(x, w1, w2, which):
+    # find_collision's scan, giving the arrival as _scan_collisions does
     _check_word_pair(w1, w2)
     A = x.automaton
     words = {1: w1, 2: w2}
@@ -353,14 +353,27 @@ def find_collisions(x, w1, w2, which, first_only=False):
         coords = {1: _Coordinate(A, x.mark1, x.sigma1), 2: _Coordinate(A, x.mark2, x.sigma2)}
         records = branch_records
     idx = {i: _indexed(records(coords[i], words[i]).vertices) for i in (1, 2)}
-    out = []
     # consecutive triples with the same source and word share one walk set
     for (i, h), group in itertools.groupby(which, key=lambda ihj: ihj[:2]):
         targets = [(ihj, idx[ihj[2]], ihj[2] == h) for ihj in group]
-        out.extend(_scan_collisions(A, words[h], idx[i], targets, first_only))
-        if first_only and out:
-            return out
-    return out
+        arrival = _scan_collisions(A, words[h], idx[i], targets)
+        if arrival is not None:
+            return arrival
+    return None
+
+
+def find_collision(x, w1, w2, which):
+    """The first witness for the given (i, h, j) triples on a
+    two-coordinate configuration, or None: threads start at coordinate
+    i's records, walk under word h, and arrivals on coordinate j's records
+    count unless j == h and the arrival congruence is 0. The records are
+    the branch records of a DoubleMarked and the cycle minima of a
+    DoubleLabeled.
+
+    Scan order is the given triple order, then source index, then
+    congruence, then time, so the first witness is deterministic.
+    """
+    return _witness(x.automaton, (w1, w2), _first_arrival(x, w1, w2, which))
 
 
 ALL_TRIPLES = tuple((i, h, j) for i in (1, 2) for h in (1, 2) for j in (1, 2))
@@ -372,11 +385,11 @@ SECOND_THEN_FIRST = ((1, 1, 1), (2, 2, 2), (2, 1, 2), (2, 1, 1), (1, 1, 2))
 
 
 def has_minima_collision(A, sigma1, sigma2, w1, w2):
-    """Cycle-minima analog of find_collisions over all eight triples.
+    """Cycle-minima analog of find_collision over all eight triples.
 
     True when some minima thread of either coordinate, walked under either
     word, arrives on a recorded minimum apart from the unavoidable
     same-word congruence-0 returns.
     """
     x = DoubleLabeled(A, sigma1, sigma2)
-    return bool(find_collisions(x, w1, w2, ALL_TRIPLES, first_only=True))
+    return _first_arrival(x, w1, w2, ALL_TRIPLES) is not None

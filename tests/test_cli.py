@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -285,7 +289,14 @@ def test_missing_and_malformed_files(tmp_path, capsys):
                              ("scaling", "budget", -1),
                              ("scaling", "k_rule", {"type": "explicit", "value": 5}),
                              ("scaling", "k_rule", {"type": "ln", "factor": 1.0}),
-                             ("height", "k_rule", {"type": ["log2"], "epsilon": 1})):
+                             ("height", "k_rule", {"type": ["log2"], "epsilon": 1}),
+                             # no size, or a size twice, would pass or pool vacuously
+                             *((name, "sizes", []) for name in
+                               ("tree_probability", "goodness", "scaling", "height",
+                                "moment_estimate", "bijection_audit")),
+                             *((name, "sizes", [64, 64])
+                               for name in ("scaling", "height", "goodness")),
+                             ("tree_probability", "word", 5), ("height", "out", ["x"])):
         cfg = tmp_path / "badtype.json"
         cfg.write_text(json.dumps({"experiment": name, "sizes": [8], key: value}))
         rc, out, err = _run(capsys, ["experiment", name, "--config", str(cfg)])
@@ -300,6 +311,25 @@ def test_missing_and_malformed_files(tmp_path, capsys):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_non_string_out_exits_two(tmp_path):
+    # open() takes True as file descriptor 1, so an out let through would
+    # close this process's stdout: the run gets its own process
+    src = pathlib.Path(cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    cfg = tmp_path / "out.json"
+    for value in (True, 1):
+        cfg.write_text(json.dumps({"experiment": "height", "sizes": [8], "trials": 2,
+                                   "out": value}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "synchrotree.cli", "experiment", "height",
+             "--config", str(cfg)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: out: expected null or a string\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+
 def test_overflowing_lengths(tmp_path, capsys, monkeypatch):
     # a log2 rule's epsilon past 1 gives the capped k, as epsilon 1 does
     cfg = tmp_path / "eps.json"
@@ -312,13 +342,16 @@ def test_overflowing_lengths(tmp_path, capsys, monkeypatch):
             assert rc == 0 and err == ""
             outs.append(out)
         assert outs[0] == outs[1]
-        # an explicit k past any word length is an error, not a traceback
-        cfg.write_text(json.dumps({"experiment": name, "sizes": [8], "trials": 2,
-                                   "k_rule": {"type": "explicit", "value": 1e300}}))
-        rc, out, err = _run(capsys, ["experiment", name, "--config", str(cfg)])
-        assert rc == 2 and out == ""
-        assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert "Traceback" not in err
+        # a k past any word length is an error that names its rule: an explicit
+        # 1e300, or an ln factor whose k is finite but huge
+        for sizes, rule in (([8], {"type": "explicit", "value": 1e300}),
+                            ([2], {"type": "ln", "factor": 1e308})):
+            cfg.write_text(json.dumps({"experiment": name, "sizes": sizes, "trials": 2,
+                                       "k_rule": rule}))
+            rc, out, err = _run(capsys, ["experiment", name, "--config", str(cfg)])
+            assert rc == 2 and out == ""
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+            assert "k_rule" in err and "Traceback" not in err
     path = _write(tmp_path, "a.json", A3)
     certs = {}
     for epsilon in ("1", "1e308", "-1e308"):

@@ -29,7 +29,6 @@ from synchrotree.exploration import (
     classify,
     dump_lines,
     explore,
-    hit_counts,
     longest_following_run,
     path_exception_count,
     thread_edge_runs,
@@ -74,12 +73,13 @@ def test_trace_frozen_small():
     assert tr.closings == ((0, 0, 0), (1, 1, 0))
     assert tr.step_explores == [True, True]
     assert tr.step_hits == [False, True]
-    assert tr.step_closes == [False, True]
+    # each thread closes on the step before the next boundary
+    assert [t + 1 in tr.boundaries[1:] for t in range(tr.final_time)] == [False, True]
     assert tr.final_time == 2
     assert tr.revealed == {(0, 0): (1, 0), (1, 1): (0, 1)}
     assert tr.revealed_map() == {(0, 0): 1, (1, 1): 0}
     assert classify(tr) == ["start", "exploring"]
-    assert hit_counts(tr) == [0, 1]
+    assert list(itertools.accumulate(tr.step_hits)) == [0, 1]
 
 
 def test_dump_lines_frozen():
@@ -177,21 +177,37 @@ def test_classify_structure():
                 assert not tr.step_explores[t - 1]
 
 
-def test_hit_counts_monotone():
+def test_step_flags_match_visits():
+    # a step explores when its labeled edge is new, and hits when it also
+    # lands on a vertex that an earlier event visited
     for i in range(20):
-        _, tr = _random_trace(trial_seed(45, i))
-        counts = hit_counts(tr)
-        assert counts == sorted(counts)
-        assert (counts[-1] if counts else 0) == sum(tr.step_hits)
+        A, tr = _random_trace(trial_seed(45, i))
+        seen_slots, visited = set(), set()
+        for t, (x, y, wid) in enumerate(tr.events):
+            visited.add(x)
+            letter = tr.words[wid].letters[y]
+            new = (x, letter) not in seen_slots
+            seen_slots.add((x, letter))
+            assert tr.step_explores[t] == new
+            assert tr.step_hits[t] == (new and A.rows[letter][x] in visited)
+        assert len(tr.step_hits) == len(tr.step_explores) == tr.final_time
 
 
 def test_thread_edge_runs_split_steps():
     for i in range(20):
-        _, tr = _random_trace(trial_seed(46, i))
+        A, tr = _random_trace(trial_seed(46, i))
         runs = thread_edge_runs(tr)
+        assert [len(run) for run in runs] == list(tr.spans())
         flat = [e for run in runs for e in run]
-        expect = list(zip(tr.step_src, tr.step_letter, tr.step_dst))
+        expect = []
+        for x, y, wid in tr.events:
+            letter = tr.words[wid].letters[y]
+            expect.append((x, letter, A.rows[letter][x]))
         assert flat == expect
+        # each edge ends where the thread's next event or closing starts
+        for j, run in enumerate(runs):
+            ends = [e[0] for e in run[1:]] + [tr.closings[j][0]]
+            assert [e[2] for e in run] == ends[:len(run)]
 
 
 def test_claim_checkers_hold_on_random_traces():
@@ -214,8 +230,8 @@ def test_ball_growth_flags_a_fast_growing_in_ball():
     revealed = {(p, 0): (v, 0) for v, ps in preds.items() for p in ps}
     A = Automaton([[0] * 9, [0] * 9])
     spec = InputSpec(((0, 0, Word("a")),))
-    tr = ExplorationTrace(A, spec, (Word("a"),), (0,), [(0, 0, 0)], (0, 1), [0], [0],
-                          [0], [True], [True], [True], ((0, 0, 0),), revealed)
+    tr = ExplorationTrace(A, spec, (Word("a"),), (0,), [(0, 0, 0)], (0, 1), [True], [True],
+                          ((0, 0, 0),), revealed)
     assert ball(tr, 0, 1, "in") == frozenset(range(4))
     assert ball(tr, 0, 2, "in") == frozenset(range(9))
     assert not check_ball_growth(tr)
@@ -390,9 +406,8 @@ def _reference_ball(adjacency, u, radius, direction):
 
 def _reference_check_ball_growth(trace):
     k = trace.k
-    hseq = hit_counts(trace)
     t = trace.final_time
-    h = hseq[t - 1] if t > 0 else 0
+    h = sum(trace.step_hits)
     out_adj, in_adj = _reference_adjacency(trace, t)
     for u in set(out_adj) | set(in_adj):
         for adj in (out_adj, in_adj):

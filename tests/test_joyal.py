@@ -24,9 +24,9 @@ from synchrotree.records import (
     DoubleMarked,
     Labeled,
     MarkedLabeled,
-    cycle_collisions,
+    cycle_collision,
     cycle_minima,
-    find_collisions,
+    find_collision,
     has_minima_collision,
     is_cycle_good,
     is_good_marked_tree,
@@ -149,7 +149,7 @@ def test_round_trip_exhaustive_small():
             A = Automaton(rows)
             for sigma in sigmas:
                 x = Labeled(A, sigma)
-                if cycle_collisions(x, word, first_only=True):
+                if cycle_collision(x, word) is not None:
                     continue
                 y, plan = fold_cycles(x, word)
                 assert is_good_marked_tree(y, word)
@@ -226,7 +226,7 @@ def test_pair_unfold_frozen_round_trip():
         C = y2.automaton
         assert is_w_tree(C, W1) and is_w_tree(C, W2)
         x = DoubleMarked(C, y1.mark, y2.mark, s1, s2)
-        assert not find_collisions(x, W1, W2, ALL_TRIPLES, first_only=True)
+        assert find_collision(x, W1, W2, ALL_TRIPLES) is None
         out12, plans12 = unfold_pair(x, W1, W2, order=(1, 2))
         out21, plans21 = unfold_pair(x, W1, W2, order=(2, 1))
         assert out12 == out21
@@ -299,7 +299,7 @@ def test_pair_fold_then_unfold_in_both_orders(n, pair, swap, seed):
         rng = rng_from_seed(trial_seed(seed, attempt))
         A = random_automaton(n, 2, seed=rng)
         x = DoubleLabeled(A, random_labeling(n, rng), random_labeling(n, rng))
-        if not find_collisions(x, w1, w2, ALL_TRIPLES, first_only=True):
+        if find_collision(x, w1, w2, ALL_TRIPLES) is None:
             break
     else:
         assume(False)
@@ -318,13 +318,13 @@ def test_pair_fold_of_colliding_labeling_leaves_image():
     rng = rng_from_seed(0 ^ 0xABCDEF)
     s1 = random_labeling(40, rng)
     s2 = random_labeling(40, rng)
-    assert not cycle_collisions(Labeled(A, s1), W1, first_only=True)
-    assert not cycle_collisions(Labeled(A, s2), W2, first_only=True)
+    assert cycle_collision(Labeled(A, s1), W1) is None
+    assert cycle_collision(Labeled(A, s2), W2) is None
     assert has_minima_collision(A, s1, s2, W1, W2)
     y1, _ = fold_cycles(Labeled(A, s1), W1)
     y2, _ = fold_cycles(Labeled(y1.automaton, s2), W2)
     x = DoubleMarked(y2.automaton, y1.mark, y2.mark, s1, s2)
-    assert find_collisions(x, W1, W2, ALL_TRIPLES, first_only=True)
+    assert find_collision(x, W1, W2, ALL_TRIPLES) is not None
     with pytest.raises(CollisionError):
         unfold_pair(x, W1, W2, order=(1, 2))
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import sys
 from itertools import permutations
 
 import pytest
@@ -40,6 +41,7 @@ from synchrotree.records import (
     Labeled,
     MarkedLabeled,
     has_minima_collision,
+    is_branch_good,
     is_cycle_good,
     is_good_marked_tree,
     random_labeling,
@@ -116,8 +118,13 @@ def test_resolve_k():
     assert resolve_k(("explicit", 0), 1000) == 1
     assert resolve_k(("log2", 0.2), 512) == 11
     assert resolve_k(("ln", 1.0), 10000) == math.ceil(math.log(10000))
-    with pytest.raises(ValueError, match="k_rule"):
-        resolve_k(("ln", 1e308), 8)
+    assert resolve_k(("explicit", sys.maxsize), 8) == sys.maxsize
+    assert resolve_k(("ln", -1e300), 8) == 1
+    for rule, n in ((("ln", 1e308), 8), (("ln", -1e308), 8), (("ln", 1e308), 2),
+                    (("explicit", 1e300), 8),
+                    (("explicit", sys.maxsize + 1), 8)):
+        with pytest.raises(ValueError, match="k_rule"):
+            resolve_k(rule, n)
 
 
 def _goodness_cfg(out=None):
@@ -480,13 +487,13 @@ def test_audit_fails_both_trips_through_a_raising_map(monkeypatch):
 
 
 def test_commutation_audit_scans_the_good_tree_pairs(monkeypatch):
-    # find_collisions reports a collision on every pair it is given, so no
+    # the pair scan reports an arrival on every pair it is given, so no
     # pair is unfolded and the pairs scanned are recorded
     w1, w2 = Word("aab"), Word("bba")
     sigmas = list(permutations(range(2)))
     autos = lab._all_automata(2)
     scanned = []
-    monkeypatch.setattr(lab, "find_collisions", lambda x, *a, **kw: scanned.append(x) or [x])
+    monkeypatch.setattr(lab, "_first_arrival", lambda x, *a: scanned.append(x) or x)
     trees = [lab._audit_block(autos, sigmas, w)[1] for w in (w1, w2)]
     assert lab._commutation_audit(autos, w1, w2, *trees) == (0, 0)
     good1, good2 = (
@@ -497,6 +504,42 @@ def test_commutation_audit_scans_the_good_tree_pairs(monkeypatch):
     want = [DoubleMarked(A, v1, v2, s1, s2)
             for A, v1, s1 in good1 for B, v2, s2 in good2 if A == B]
     assert want and scanned == want
+
+
+def test_goodness_predicates_build_no_witness(monkeypatch):
+    # the predicates, the audit and the goodness rows only ask whether a
+    # thread arrives, so they must not build a witness even on collisions
+    w, w1, w2 = Word("ab"), Word("aab"), Word("bba")
+    autos = lab._all_automata(2)
+    sigmas = list(permutations(range(2)))
+
+    def results():
+        trees = [lab._audit_block(autos, sigmas, u)[1] for u in (w1, w2)]
+        goodness = ExperimentConfig(experiment="goodness", sizes=(2,), trials=40,
+                                    k_rule=("explicit", 3))
+        return (
+            [is_cycle_good(Labeled(A, s), w) for A in autos for s in sigmas],
+            [is_branch_good(MarkedLabeled(A, v, s), w)
+             for A in autos for v in range(2) for s in sigmas],
+            [is_good_marked_tree(MarkedLabeled(A, v, s), w)
+             for A in autos for v in range(2) for s in sigmas],
+            [has_minima_collision(A, s1, s2, w1, w2)
+             for A in autos for s1 in sigmas for s2 in sigmas],
+            exp_bijection_audit(2, 3),
+            lab._commutation_audit(autos, w1, w2, *trees),
+            run(goodness).rows,
+        )
+
+    usual = results()
+    cycle_good, branch_good, good_tree, minima, _, _, goodness_rows = usual
+    assert False in cycle_good and False in branch_good and False in good_tree
+    assert True in minima and any(row[4] for row in goodness_rows)
+
+    def no_witness(*args):
+        raise AssertionError("a witness was built")
+
+    monkeypatch.setattr(records, "CollisionWitness", no_witness)
+    assert results() == usual
 
 
 def test_audit_catches_a_broken_bijection(monkeypatch):

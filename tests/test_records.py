@@ -30,11 +30,11 @@ from synchrotree.records import (
     DoubleMarked,
     Labeled,
     MarkedLabeled,
-    branch_collisions,
+    branch_collision,
     branch_records,
-    cycle_collisions,
+    cycle_collision,
     cycle_minima,
-    find_collisions,
+    find_collision,
     has_minima_collision,
     is_branch_good,
     is_cycle_good,
@@ -126,7 +126,7 @@ def test_cycle_bad_witness_frozen():
     assert A.rows == ((1, 2, 3, 3), (0, 0, 3, 3))
     x = Labeled(A, (0, 1, 2, 3))
     assert not is_cycle_good(x, AB)
-    wit = cycle_collisions(x, AB, first_only=True)[0]
+    wit = cycle_collision(x, AB)
     assert wit.to_json_dict() == {
         "ihj": [1, 1, 1],
         "p": 1,
@@ -138,7 +138,7 @@ def test_cycle_bad_witness_frozen():
 
 
 def test_witness_json_dict_shape():
-    wit = cycle_collisions(Labeled(random_automaton(4, 2, seed=1), (0, 1, 2, 3)), AB)[0]
+    wit = cycle_collision(Labeled(random_automaton(4, 2, seed=1), (0, 1, 2, 3)), AB)
     d = wit.to_json_dict()
     assert sorted(d) == ["ihj", "len", "p", "q", "r", "s"]
     assert d["len"] == len(wit.path) - 1
@@ -164,9 +164,8 @@ def test_cross_word_collisions_exist_at_length_one():
     wa, wb = Word("a"), Word("b")
     A = Automaton([[0, 0], [0, 0]])
     y = DoubleMarked(A, 0, 1, (0, 1), (0, 1))
-    wits = find_collisions(y, wa, wb, ALL_TRIPLES)
-    assert wits
-    assert wits[0].to_json_dict() == {
+    wit = find_collision(y, wa, wb, ALL_TRIPLES)
+    assert wit.to_json_dict() == {
         "ihj": [2, 1, 2],
         "p": 1,
         "q": 2,
@@ -186,9 +185,11 @@ def test_cross_word_collision_frozen():
     s1 = random_labeling(6, rng)
     s2 = random_labeling(6, rng)
     assert s1 == (3, 2, 5, 4, 0, 1) and s2 == (4, 5, 1, 2, 0, 3)
-    wits = find_collisions(DoubleMarked(A, 0, 0, s1, s2), w1, w2, ALL_TRIPLES)
+    y = DoubleMarked(A, 0, 0, s1, s2)
+    wits = _reference_find(y, w1, w2, ALL_TRIPLES, first_only=False)
     assert len(wits) == 26
     mixed = [w for w in wits if w.ihj == (1, 2, 1)]
+    assert mixed[0] == find_collision(y, w1, w2, ((1, 2, 1),))
     assert mixed[0].to_json_dict() == {
         "ihj": [1, 2, 1],
         "p": 1,
@@ -224,18 +225,19 @@ def test_first_witness_matches_full_scan():
             random_labeling(n, rng),
             random_labeling(n, rng),
         )
-        full = find_collisions(y, w1, w2, ALL_TRIPLES)
-        first = find_collisions(y, w1, w2, ALL_TRIPLES, first_only=True)
+        full = _reference_find(y, w1, w2, ALL_TRIPLES, first_only=False)
+        first = find_collision(y, w1, w2, ALL_TRIPLES)
         if full:
             hits += 1
-            assert first[0] == full[0]
+            assert first == full[0]
         else:
-            assert not first
+            assert first is None
     assert hits > 0
 
 
 def test_witness_paths_replay():
-    """Every witness path is a real thread segment from (p, r) to (q, s)."""
+    """The first witness path of each single triple is a real thread
+    segment from (p, r) to an arrival on one of coordinate j's records."""
     w1, w2 = Word("aab"), Word("abb")
     words = {1: w1, 2: w2}
     checked = 0
@@ -255,12 +257,17 @@ def test_witness_paths_replay():
             1: branch_records(MarkedLabeled(A, y.mark1, y.sigma1), w1).vertices,
             2: branch_records(MarkedLabeled(A, y.mark2, y.sigma2), w2).vertices,
         }
-        for wit in find_collisions(y, w1, w2, ALL_TRIPLES):
+        for triple in ALL_TRIPLES:
+            wit = find_collision(y, w1, w2, (triple,))
+            if wit is None:
+                continue
             i_, h, j = wit.ihj
+            assert wit.ihj == triple
             k = len(words[h])
             letters = words[h].letters
             path = wit.path
-            assert path[0][1] == wit.r and path[-1][1] == wit.s
+            assert path[0] == (idx[i_][wit.p - 1], wit.r)
+            assert path[-1] == (idx[j][wit.q - 1], wit.s)
             for (u, c), (u2, c2) in zip(path, path[1:]):
                 assert u2 == A.rows[letters[c]][u]
                 assert c2 == (c + 1) % k
@@ -291,21 +298,20 @@ def test_both_orders_clean_means_all_clean():
             random_labeling(n, rng),
             random_labeling(n, rng),
         )
-        both = not find_collisions(
-            y, w1, w2, FIRST_THEN_SECOND, first_only=True
-        ) and not find_collisions(y, w1, w2, SECOND_THEN_FIRST, first_only=True)
-        neither = not find_collisions(y, w1, w2, ALL_TRIPLES, first_only=True)
+        both = (find_collision(y, w1, w2, FIRST_THEN_SECOND) is None
+                and find_collision(y, w1, w2, SECOND_THEN_FIRST) is None)
+        neither = find_collision(y, w1, w2, ALL_TRIPLES) is None
         assert both == neither
 
 
 def test_word_pair_preconditions():
     y = DoubleMarked(A3, 0, 0, ID3, ID3)
     with pytest.raises(ValueError):
-        find_collisions(y, Word("ab"), Word("aab"), ALL_TRIPLES)
+        find_collision(y, Word("ab"), Word("aab"), ALL_TRIPLES)
     with pytest.raises(ValueError):
-        find_collisions(y, Word("ab"), Word("ba"), ALL_TRIPLES)
+        find_collision(y, Word("ab"), Word("ba"), ALL_TRIPLES)
     with pytest.raises(ValueError):
-        find_collisions(y, Word("abab"), Word("aabb"), ALL_TRIPLES)
+        find_collision(y, Word("abab"), Word("aabb"), ALL_TRIPLES)
     with pytest.raises(ValueError):
         has_minima_collision(A3, ID3, ID3, Word("aab"), Word("aab"))
 
@@ -472,7 +478,8 @@ def test_labelings_and_marks_must_be_integers():
 
 def _reference_scan(A, walk_word, source_index, target_index, skip_zero, ihj, first_only):
     # the collision scan with one walk set per (i, h, j) triple, each walk
-    # carrying its path; kept only as the reference for find_collisions
+    # carrying its path; kept as the reference for find_collision and as
+    # the only all-witness listing
     k = len(walk_word)
     rows = A.rows
     letters = walk_word.letters
@@ -546,11 +553,11 @@ _WHICH = (ALL_TRIPLES, FIRST_THEN_SECOND, SECOND_THEN_FIRST) + tuple((t,) for t 
 
 
 @settings(max_examples=400, deadline=None)
-@given(case=_double_configurations(), which=st.sampled_from(_WHICH), first_only=st.booleans())
-def test_find_collisions_matches_reference_scan(case, which, first_only):
+@given(case=_double_configurations(), which=st.sampled_from(_WHICH))
+def test_find_collision_matches_reference_scan(case, which):
     x, w1, w2 = case
-    got = find_collisions(x, w1, w2, which, first_only=first_only)
-    assert got == _reference_find(x, w1, w2, which, first_only)
+    want = _reference_find(x, w1, w2, which, first_only=True)
+    assert find_collision(x, w1, w2, which) == (want[0] if want else None)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import ast
 import pathlib
 import sys
+import types
 
 import synchrotree
 
@@ -36,3 +37,12 @@ def test_imports_are_stdlib_numpy_or_the_package():
             found += ["%s:%d %s" % (path.name, node.lineno, name)
                       for name in names if name.split(".")[0] not in allowed]
     assert found == []
+
+
+def test_all_lists_every_public_name():
+    # each exported name is written twice in __init__.py, once imported and
+    # once in __all__, so a rename must reach both
+    bound = {name for name, value in vars(synchrotree).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(synchrotree.__all__) == len(set(synchrotree.__all__))
+    assert set(synchrotree.__all__) == bound
