@@ -1,5 +1,7 @@
 """Synchronizing random automata through word-induced trees."""
 
+import types
+
 from .core import (
     Automaton,
     SchemaError,
@@ -13,13 +15,11 @@ from .core import (
     cycles,
     cyclic_points,
     enumerate_nc_words,
-    format_word,
     height,
     is_self_conjugate,
     is_w_tree,
     loop_root,
     one_letter_view,
-    parse_word,
     random_automaton,
     random_nc_word,
     shift,
@@ -78,78 +78,8 @@ from .lab import (
     save_automaton,
 )
 
-__all__ = [
-    "Automaton",
-    "CollisionError",
-    "CollisionWitness",
-    "DoubleLabeled",
-    "DoubleMarked",
-    "ExperimentConfig",
-    "ExperimentRecord",
-    "ExplorationTrace",
-    "InputSpec",
-    "Labeled",
-    "MarkedLabeled",
-    "RewiringPlan",
-    "SchemaError",
-    "SyncCertificate",
-    "Thread",
-    "TypicalityReport",
-    "Word",
-    "apply_word",
-    "apply_word_all",
-    "are_conjugate",
-    "automaton_from_json",
-    "ball",
-    "branch_records",
-    "cerny_automaton",
-    "check_typicality",
-    "classify",
-    "config_from_json",
-    "count_nc_words",
-    "cycle_minima",
-    "cycles",
-    "cyclic_points",
-    "dump_lines",
-    "enumerate_nc_words",
-    "exp_bijection_audit",
-    "exp_goodness",
-    "exp_height",
-    "exp_moment_estimate",
-    "exp_scaling",
-    "exp_tree_probability",
-    "explore",
-    "find_collision",
-    "find_tree_word",
-    "fold_cycles",
-    "format_word",
-    "greedy_fallback",
-    "has_minima_collision",
-    "height",
-    "is_branch_good",
-    "is_cycle_good",
-    "is_good_marked_tree",
-    "is_self_conjugate",
-    "is_synchronizable",
-    "is_synchronizing",
-    "is_w_tree",
-    "iter_tree_words",
-    "load_automaton",
-    "loop_root",
-    "one_letter_view",
-    "parse_word",
-    "pick_tree_length",
-    "random_automaton",
-    "random_nc_word",
-    "run",
-    "save_automaton",
-    "shift",
-    "shortest_sync_word_exact",
-    "thread",
-    "tree_root",
-    "tree_sync_word",
-    "unfold_branch",
-    "unfold_pair",
-]
+# the exports are the public names the imports above bind, modules aside
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))
 
 __version__ = "0.1.0"

@@ -12,8 +12,8 @@ from itertools import islice
 
 from .core import (
     SchemaError,
+    Word,
     automaton_from_json,
-    parse_word,
     random_automaton,
 )
 from .exploration import InputSpec, dump_lines, explore
@@ -135,7 +135,7 @@ def _input_spec_from_json(payload, A):
                 x, r, w = item["state"], item["congruence"], item["word"]
             else:
                 x, r, w = item
-            entries.append((x, r, parse_word(w)))
+            entries.append((x, r, Word(w)))
         except (KeyError, TypeError, ValueError) as exc:
             raise _CliError("bad input spec entry %r: %s" % (item, exc))
     try:

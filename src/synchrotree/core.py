@@ -45,7 +45,7 @@ _INDEX = re.compile(r"0|[1-9][0-9]*")
 
 def _text_to_letters(text):
     # letters 'a'..'z', or canonical decimal indices joined by commas, which
-    # is what format_word writes; "10" is the single letter 10
+    # Word.text writes once a letter passes 'z'; "10" is the single letter 10
     if text.isalpha():
         try:
             return tuple(string.ascii_lowercase.index(ch) for ch in text)
@@ -128,17 +128,6 @@ class Word:
 
     def repeat(self, times):
         return Word(self.letters * int(times))
-
-
-def parse_word(text):
-    return Word(text)
-
-
-def format_word(word, r=2):
-    """Render a word for r=2 as an 'ab' string, otherwise as comma ints."""
-    if r == 2:
-        return word.text
-    return ",".join(str(l) for l in word.letters)
 
 
 def _proper_divisors(k):

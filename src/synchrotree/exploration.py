@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import or_
 
-from .core import Word, as_index, format_word, thread
+from .core import Word, as_index, thread
 
 
 @dataclass(frozen=True)
@@ -497,13 +497,12 @@ def dump_lines(trace):
     """One dict per visited triple plus each thread's closing arrival,
     ready for JSON lines output."""
     tags = classify(trace)
-    r = trace.automaton.r
     out = []
 
     def line(t, triple, tag):
         x, y, wid = triple
         out.append({"t": t, "x": x, "y": y,
-                    "z": format_word(trace.words[wid], r), "tag": tag})
+                    "z": trace.words[wid].text, "tag": tag})
 
     for j in range(trace.d):
         a, b = trace.boundaries[j], trace.boundaries[j + 1]

@@ -25,10 +25,10 @@ from .core import (
     count_nc_words,
     enumerate_nc_words,
     are_conjugate,
+    as_index,
     is_w_tree,
     height,
     is_finite_number,
-    parse_word,
     random_automaton,
     random_nc_word,
     rng_from_seed,
@@ -173,10 +173,6 @@ class ExperimentRecord:
     rows: tuple
     aggregates: dict
 
-    @property
-    def experiment(self):
-        return self.config.experiment
-
 
 def save_automaton(A, path):
     with open(path, "w") as f:
@@ -194,7 +190,7 @@ def load_automaton(path):
 def _row_tree_probability(cfg, n, k, trial, seed):
     rng = rng_from_seed(seed)
     A = random_automaton(n, seed=rng)
-    w = parse_word(cfg.word)
+    w = Word(cfg.word)
     return (n, trial, int(is_w_tree(A, w)))
 
 
@@ -395,10 +391,13 @@ def _job(args):
 def run(config, workers=None):
     """Execute the experiment and return its record.
 
-    workers > 1 runs trials in a process pool; the rows, aggregates, and
-    any files written are identical either way. With config.out set, the
-    rows land in a CSV and the config in a .config.json sidecar.
+    workers >= 1 caps a process pool of at most one process per job and CPU;
+    the rows, aggregates, and any files written are identical either way.
+    With config.out set, the rows land in a CSV and the config in a
+    .config.json sidecar.
     """
+    if workers is not None and as_index(workers, "workers") < 1:
+        raise ValueError("workers must be at least 1, got %d" % workers)
     # the audit included: with one state it would check nothing and pass
     if any(n < 2 for n in config.sizes):
         raise ValueError("sizes: experiments need at least two states")
@@ -411,11 +410,14 @@ def run(config, workers=None):
         for si, n in enumerate(config.sizes):
             k = resolve_k(config.k_rule, n)
             if config.experiment == "tree_probability":
-                k = len(parse_word(config.word))
+                k = len(Word(config.word))
             for trial in range(config.trials):
                 index = si * config.trials + trial
                 jobs.append((config, n, k, trial, trial_seed(config.seed, index)))
-        if workers and workers > 1:
+        # a fork pool starts all its processes at once, so never more than
+        # there are jobs to share or CPUs to run them
+        workers = min(workers or 1, len(jobs), os.cpu_count() or 1)
+        if workers > 1:
             # imported here, so that serial runs and plain imports of the
             # package do not load multiprocessing (2 MB of resident memory)
             from concurrent.futures import ProcessPoolExecutor
@@ -598,7 +600,7 @@ def _run_bijection_audit(config):
 def exp_tree_probability(n, k, w, trials, seed=0, workers=None):
     """Frequency of the tree event for one fixed word."""
     word = w if isinstance(w, str) else w.text
-    if len(parse_word(word)) != k:
+    if len(Word(word)) != k:
         raise ValueError("word length disagrees with k")
     cfg = ExperimentConfig(
         experiment="tree_probability", sizes=(n,), trials=trials, seed=seed,

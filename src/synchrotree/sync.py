@@ -30,7 +30,6 @@ from .core import (
     Word,
     apply_word_all,
     as_index,
-    format_word,
     height,
     is_finite_number,
     loop_root,
@@ -55,14 +54,14 @@ class SyncCertificate:
     def to_json_dict(self, emit_word=False):
         doc = {"method": self.method}
         if self.tree_word is not None:
-            doc["tree_word"] = format_word(self.tree_word)
+            doc["tree_word"] = self.tree_word.text
         if self.height is not None:
             doc["H"] = self.height
         doc["sink"] = self.sink
         doc["word_len"] = len(self.word)
         doc["verified"] = self.verified
         if emit_word:
-            doc["word"] = format_word(self.word)
+            doc["word"] = self.word.text
         return doc
 
 

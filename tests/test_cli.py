@@ -8,7 +8,7 @@ import pytest
 
 from synchrotree import cli
 from synchrotree.cli import main
-from synchrotree.core import Automaton
+from synchrotree.core import Automaton, Word
 from synchrotree.lab import save_automaton
 from synchrotree.sync import cerny_automaton
 
@@ -178,6 +178,21 @@ def test_explore_cli_triple_form(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+def test_every_command_prints_a_word_the_same_way(tmp_path, capsys):
+    # a spec may give the word as "0,2,1"; every command prints it "acb"
+    path = _write(tmp_path, "r3.json", Automaton([[3, 2, 2, 1], [1, 0, 0, 0], [0, 3, 2, 3]]))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"entries": [[0, 0, "0,2,1"]]}))
+    rc, out, _ = _run(capsys, ["explore", "--in", path, "--spec", str(spec)])
+    assert rc == 0
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert {line["z"] for line in lines} == {"acb"} == {Word((0, 2, 1)).text}
+    assert all(Word(line["z"]) == Word((0, 2, 1)) for line in lines)
+    rc, out, _ = _run(capsys, ["tree-words", "--in", path, "--k", "3", "--all"])
+    assert rc == 0
+    assert "acb" in [entry["word"] for entry in json.loads(out)["words"]]
+
+
 def test_explore_cli_bad_specs(tmp_path, capsys):
     path = _write(tmp_path, "a3.json", A3)
     for payload in (
@@ -218,6 +233,17 @@ def test_experiment_cli(tmp_path, capsys):
     assert [p["n"] for p in doc["per_n"]] == [12, 24]
     rc, _, err = _run(capsys, ["experiment", "height", "--config", str(cfg)])
     assert rc == 2 and "config is for experiment" in err
+
+
+def test_experiment_cli_refuses_workers_below_one(tmp_path, capsys):
+    cfg = tmp_path / "good.json"
+    cfg.write_text(json.dumps({"experiment": "goodness", "sizes": [12], "trials": 2}))
+    for workers in ("0", "-2"):
+        rc, out, err = _run(
+            capsys, ["experiment", "goodness", "--config", str(cfg), "--workers", workers])
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "workers" in err
 
 
 def test_experiment_cli_writes_csv(tmp_path, capsys):

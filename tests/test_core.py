@@ -19,13 +19,11 @@ from synchrotree.core import (
     cycles,
     cyclic_points,
     enumerate_nc_words,
-    format_word,
     height,
     is_self_conjugate,
     is_w_tree,
     loop_root,
     one_letter_view,
-    parse_word,
     random_automaton,
     random_nc_word,
     rng_from_seed,
@@ -47,9 +45,9 @@ def test_word_basics():
     assert w.rotate(1) == Word("aba")
     assert w.rotate(3) == w
     assert w.repeat(2) == Word("aabaab")
-    assert parse_word("ba") == Word((1, 0))
-    assert format_word(Word("ab")) == "ab"
-    assert format_word(Word((0, 2, 1)), r=3) == "0,2,1"
+    assert Word("ba") == Word((1, 0))
+    assert Word("ab").text == "ab"
+    assert Word((0, 2, 1)).text == "acb"
     with pytest.raises(ValueError):
         Word(())
     # a float or bool letter is refused, not truncated to an int
@@ -66,20 +64,20 @@ def test_word_basics():
         )
     )
 )
-def test_parse_word_round_trips_format_word(case):
-    r, letters = case
+def test_word_round_trips_its_text(case):
+    _, letters = case
     w = Word(letters)
-    assert parse_word(format_word(w, r)) == w
+    assert Word(w.text) == w
 
 
-def test_parse_word_accepts_only_canonical_text():
-    assert parse_word("10") == Word((10,))
-    assert parse_word("0,2,1") == Word((0, 2, 1))
-    assert parse_word("0") == Word((0,))
+def test_word_accepts_only_canonical_text():
+    assert Word("10") == Word((10,))
+    assert Word("0,2,1") == Word((0, 2, 1))
+    assert Word("0") == Word((0,))
     for text in ("01", "0101", "", ",1", "1,", "1,,2", "+1", " 1", "1_0",
                  "a1", "AB", "\u00b2", "0,01"):
         with pytest.raises(ValueError):
-            parse_word(text)
+            Word(text)
 
 
 def test_conjugacy_against_rotation_scan():

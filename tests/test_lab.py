@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import sys
 from itertools import permutations
 
@@ -163,6 +164,40 @@ def test_run_deterministic_and_parallel_identical(tmp_path, experiment):
     b1 = open(p1, "rb").read()
     assert b1 == open(p2, "rb").read() == open(p3, "rb").read()
     assert b"\r\n" in b1
+
+
+def test_run_caps_the_pool_at_jobs_and_cpus(monkeypatch):
+    # the stub records each pool's size and runs the jobs in this process,
+    # so no test starts a large pool
+    import concurrent.futures
+
+    sizes = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+    serial = run(_goodness_cfg()).rows  # 60 jobs
+    for cpus, workers in ((4, 100000), (1000, 100000), (1000, 8), (None, 100000), (1000, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert run(_goodness_cfg(), workers=workers).rows == serial
+    assert sizes == [4, 60, 8]
+
+
+@pytest.mark.parametrize("workers", [0, -2, 1.5, 2.0, True, "2"])
+def test_run_refuses_workers_below_one_or_not_whole(workers):
+    with pytest.raises(ValueError, match="workers"):
+        run(_goodness_cfg(), workers=workers)
 
 
 def test_csv_format_and_sidecar(tmp_path):
@@ -573,4 +608,4 @@ def test_save_load_automaton(tmp_path):
 def test_record_experiment_property():
     record = run(_goodness_cfg())
     assert isinstance(record, ExperimentRecord)
-    assert record.experiment == "goodness"
+    assert record.config.experiment == "goodness"
