@@ -135,6 +135,8 @@ def _input_spec_from_json(payload, A):
                 x, r, w = item["state"], item["congruence"], item["word"]
             else:
                 x, r, w = item
+            if not isinstance(w, str):  # Word would also take a list of ints
+                raise TypeError("word must be a string")
             entries.append((x, r, Word(w)))
         except (KeyError, TypeError, ValueError) as exc:
             raise _CliError("bad input spec entry %r: %s" % (item, exc))

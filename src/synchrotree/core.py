@@ -346,11 +346,12 @@ def apply_word(A, state, word):
 
 def apply_word_all(A, word):
     """Images of every state under the word: the successor array of A's
-    one-letter view under word, which the functional-graph kernel takes."""
+    one-letter view under word, which the functional-graph kernel takes:
+    a fresh int64 copy of the first letter's row, gathered through the rest."""
     _check_word(A, word)
-    states = np.arange(A.n, dtype=np.int64)
-    for l in word.letters:
-        states = A.delta[l, states]
+    states = A.delta[word.letters[0]].copy()
+    for l in word.letters[1:]:
+        states = A.delta[l][states]
     return states
 
 

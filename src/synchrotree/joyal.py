@@ -16,9 +16,10 @@ from .records import (
     Labeled,
     MarkedLabeled,
     SECOND_THEN_FIRST,
-    branch_collision,
+    _arrival_on,
+    _branch_records,
+    _witness,
     branch_records,
-    cycle_collision,
     cycle_minima,
     find_collision,
 )
@@ -80,14 +81,14 @@ def fold_cycles(x, word, check=True):
     Returns the marked tree and the plan. With check, a violated good event
     raises CollisionError with the offending arrival.
     """
-    if check:
-        witness = cycle_collision(x, word)
-        if witness is not None:
-            raise CollisionError(witness)
     A = x.automaton
     k = len(word)
     rs = cycle_minima(x, word)
     beta = rs.vertices
+    if check:
+        witness = _witness(A, (word,), _arrival_on(A, word, beta))
+        if witness is not None:
+            raise CollisionError(witness)
     edges = []
     for p in range(rs.count):
         th = thread(A, beta[p], 0, word)
@@ -109,16 +110,16 @@ def unfold_branch(y, word, check=True):
     A = y.automaton
     k = len(word)
     th = thread(A, y.mark, 0, word)
+    rs = _branch_records(th, y.sigma, k)
+    b = rs.vertices
     if check:
         if not is_w_tree(A, word):
             raise ValueError("not a tree under the word")
         if th.cut_time % k != 0:
             raise ValueError("marked thread closes off congruence 0")
-        witness = branch_collision(y, word)
+        witness = _witness(A, (word,), _arrival_on(A, word, b))
         if witness is not None:
             raise CollisionError(witness)
-    rs = branch_records(y, word)
-    b = rs.vertices
     edges = []
     for pp in range(1, rs.count + 1):
         pos = rs.positions[pp] if pp < rs.count else th.cut_time

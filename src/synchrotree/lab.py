@@ -7,6 +7,7 @@ serial and parallel runs write byte-identical CSVs.
 """
 
 import csv
+import functools
 import json
 import math
 import numbers
@@ -41,9 +42,10 @@ from .records import (
     DoubleMarked,
     Labeled,
     MarkedLabeled,
+    _arrival_on,
+    _branch_records,
     _first_arrival,
-    is_branch_good,
-    is_cycle_good,
+    cycle_minima,
     is_good_marked_tree,
     random_labeling,
 )
@@ -215,6 +217,7 @@ def _row_scaling(cfg, n, k, trial, seed):
     return (n, trial, 1, k, cert.height, len(cert.word))
 
 
+@functools.cache  # one pair of immutable words per k, not one per trial
 def _nc_word_pair(k):
     """The first two lexicographic non-self-conjugate words of length k
     that are not conjugates of each other."""
@@ -488,14 +491,19 @@ def _audit_block(autos, sigmas, w):
     unfold(y) is a stored cycle-good x that folds to y. Keys are (position
     in autos, labeling) for x and (position, mark, labeling) for y, so no
     rewired automaton outlives its map.
+
+    The labelings of one automaton (x) or one mark (y) share each record
+    set's collision scan, and y's records are read off the mark's one
+    thread walk; no scan or thread is kept past its automaton or mark.
     """
     position = {A.rows: i for i, A in enumerate(autos)}
     k = len(w)
     folds = {}
     for i, A in enumerate(autos):
+        scan = functools.cache(functools.partial(_arrival_on, A, w))
         for sigma in sigmas:
             x = Labeled(A, sigma)
-            if not is_cycle_good(x, w):
+            if scan(cycle_minima(x, w).vertices) is not None:
                 continue
             try:
                 y, _ = fold_cycles(x, w, check=False)
@@ -507,11 +515,13 @@ def _audit_block(autos, sigmas, w):
         if not is_w_tree(A, w):
             continue
         for mark in range(A.n):
-            if thread(A, mark, 0, w).cut_time % k != 0:
+            th = thread(A, mark, 0, w)
+            if th.cut_time % k != 0:
                 continue
+            scan = functools.cache(functools.partial(_arrival_on, A, w))
             for sigma in sigmas:
                 y = MarkedLabeled(A, mark, sigma)
-                if not is_branch_good(y, w):
+                if scan(_branch_records(th, y.sigma, k).vertices) is not None:
                     continue
                 try:
                     x, _ = unfold_branch(y, w, check=False)

@@ -7,7 +7,7 @@ would make those rewirings ambiguous. One thread walk, _scan_collisions,
 finds the first such arrival: the one-word events scan a single record
 set, and find_collision scans (i, h, j) triples across two coordinates, on
 their cycle minima or on their branch records. The predicates build no
-CollisionWitness; only the *_collision functions do.
+CollisionWitness; only the *_collision functions and joyal's checks do.
 """
 
 import itertools
@@ -186,11 +186,13 @@ def cycle_minima(x, word):
 
 def branch_records(y, word):
     """Strictly decreasing label records at congruence-0 times along the
-    marked thread before it closes, plus the closing vertex."""
-    A = y.automaton
-    sigma = y.sigma
-    k = len(word)
-    th = thread(A, y.mark, 0, word)
+    marked thread before it closes, plus the closing vertex. Callers that
+    already walked the thread read it off with _branch_records."""
+    return _branch_records(thread(y.automaton, y.mark, 0, word), y.sigma, len(word))
+
+
+def _branch_records(th, sigma, k):
+    # branch_records read off th, the marked thread under a k-letter word
     vertices = []
     positions = []
     best = None
@@ -293,32 +295,35 @@ def _witness(A, words, arrival):
     return CollisionWitness(ihj, p, q, r, s, tuple(path))
 
 
-def _own_arrival(z, word, records):
-    # the first arrival of z's record threads on its own records
-    idx = _indexed(records(z, word).vertices)
-    return _scan_collisions(z.automaton, word, idx, [((1, 1, 1), idx, True)])
+def _arrival_on(A, word, vertices):
+    # the first arrival of the threads from a record set on that set; a
+    # pure function, so labelings with one record set can share it
+    idx = _indexed(vertices)
+    return _scan_collisions(A, word, idx, [((1, 1, 1), idx, True)])
 
 
 def cycle_collision(x, word):
     """The first arrival that makes x cycle-bad, as a CollisionWitness, or None."""
-    return _witness(x.automaton, (word,), _own_arrival(x, word, cycle_minima))
+    A = x.automaton
+    return _witness(A, (word,), _arrival_on(A, word, cycle_minima(x, word).vertices))
 
 
 def branch_collision(y, word):
     """The first arrival that makes y branch-bad, as a CollisionWitness, or None."""
-    return _witness(y.automaton, (word,), _own_arrival(y, word, branch_records))
+    A = y.automaton
+    return _witness(A, (word,), _arrival_on(A, word, branch_records(y, word).vertices))
 
 
 def is_cycle_good(x, word):
     """No cycle-minimum thread ever arrives at a cycle minimum off
     congruence 0."""
-    return _own_arrival(x, word, cycle_minima) is None
+    return _arrival_on(x.automaton, word, cycle_minima(x, word).vertices) is None
 
 
 def is_branch_good(y, word):
     """No branch-record thread ever arrives at a branch record off
     congruence 0."""
-    return _own_arrival(y, word, branch_records) is None
+    return _arrival_on(y.automaton, word, branch_records(y, word).vertices) is None
 
 
 def is_good_marked_tree(y, word):

@@ -203,6 +203,8 @@ def test_explore_cli_bad_specs(tmp_path, capsys):
         {"entries": [[0, 1.0, "ab"]]},
         {"entries": [{"state": True, "congruence": 1, "word": "ab"}]},
         {"entries": [{"state": 1, "congruence": "1", "word": "ab"}]},
+        {"entries": [[0, 0, [0, 1]]]},
+        {"entries": [{"state": 0, "congruence": 0, "word": [0, 1]}]},
         {"entries": 5},
         {"entries": None},
         {"entries": {"a": 1}},

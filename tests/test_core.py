@@ -299,6 +299,22 @@ def test_is_w_tree():
         tree_root(A3, Word("a"))
 
 
+def test_apply_word_all_matches_the_index_loop():
+    # the 1-d row gathers give the old 2-d gathers from arange(n), as a
+    # fresh writeable int64 array, never a view of the read-only delta
+    for r in (2, 3):
+        for seed, n in enumerate((1, 3, 50)):
+            A = random_automaton(n, r, seed=seed)
+            for k in (1, 2, 5):
+                w = Word(rng_from_seed(seed + k).integers(0, r, size=k).tolist())
+                want = np.arange(n, dtype=np.int64)
+                for l in w.letters:
+                    want = A.delta[l, want]
+                out = apply_word_all(A, w)
+                assert out.dtype == np.int64 and out.tolist() == want.tolist()
+                assert out.flags.writeable and not np.shares_memory(out, A.delta)
+
+
 def test_is_w_tree_power_stable():
     rng = rng_from_seed(123)
     for trial in range(200):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from synchrotree import joyal
+from synchrotree import joyal, records
 from synchrotree.core import (
     Automaton,
     Thread,
@@ -24,6 +24,7 @@ from synchrotree.records import (
     DoubleMarked,
     Labeled,
     MarkedLabeled,
+    branch_collision,
     cycle_collision,
     cycle_minima,
     find_collision,
@@ -133,6 +134,32 @@ def test_unfold_rejects_bad_inputs():
     A3 = Automaton([[1, 2, 0], [0, 0, 0]])
     with pytest.raises(CollisionError):
         unfold_branch(MarkedLabeled(A3, 2, (0, 1, 2)), w)
+
+
+def test_checked_maps_build_their_record_set_once(monkeypatch):
+    # the entry check scans the record set the rewiring reads: a checked
+    # fold computes cycle_minima once and a checked unfold walks the marked
+    # thread once, and a failed check raises the collision functions' witness
+    w = Word("ab")
+    x = Labeled(random_automaton(4, 2, seed=1), (0, 1, 2, 3))
+    y = MarkedLabeled(Automaton([[1, 2, 0], [0, 0, 0]]), 2, (0, 1, 2))
+    want = {"fold": cycle_collision(x, w), "unfold": branch_collision(y, w)}
+    calls = []
+    for module in (joyal, records):
+        for name in ("cycle_minima", "thread"):
+            def counted(*args, _real=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(module, name, counted)
+    for direction, run, z in (("fold", fold_cycles, x), ("unfold", unfold_branch, y)):
+        calls.clear()
+        with pytest.raises(CollisionError) as info:
+            run(z, w)
+        assert info.value.witness == want[direction]
+        assert calls == (["cycle_minima"] if direction == "fold" else ["thread"])
+    calls.clear()
+    unfold_branch(fold_cycles(Labeled(x.automaton, (3, 2, 1, 0)), WA)[0], WA)
+    assert calls == ["cycle_minima"] + ["thread"] * 2
 
 
 def test_round_trip_exhaustive_small():

@@ -499,6 +499,17 @@ def test_audit_computes_view_cycles_once_per_automaton_and_word(monkeypatch):
     assert len(calls) == pairs == 16 * 10
 
 
+def test_audit_scans_each_record_set_once_per_automaton_or_mark(monkeypatch):
+    # labelings of one automaton, or of one mark, that share a record set
+    # share its collision scan: 384 scans, where one per labeling made 608
+    calls = []
+    real = records._scan_collisions
+    monkeypatch.setattr(records, "_scan_collisions",
+                        lambda *a: calls.append(a) or real(*a))
+    exp_bijection_audit(2, 3)
+    assert len(calls) == 384
+
+
 def test_audit_fails_both_trips_through_a_raising_map(monkeypatch):
     # a map that raises on one input fails that input's own trip and the
     # other direction's trip that lands on it, and no other trip

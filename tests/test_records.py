@@ -598,3 +598,28 @@ def test_cycle_minima_memo_is_invisible(case):
         assert rs == cycle_minima(Labeled(Automaton(y.automaton.delta), sigma), w)
     with pytest.raises(ValueError, match="outside the alphabet"):
         cycle_minima(x, Word(w.letters + (A.r,)))
+
+
+@st.composite
+def _labeling_pairs(draw):
+    n = draw(st.integers(1, 6))
+    delta = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                          min_size=2, max_size=2))
+    w = Word(draw(st.lists(st.integers(0, 1), min_size=1, max_size=4)))
+    mark = draw(st.integers(0, n - 1))
+    return Automaton(delta), w, mark, draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_labeling_pairs())
+def test_goodness_is_a_function_of_the_record_set(case):
+    # the audit scans each distinct record set of an automaton, or of a
+    # mark, once for all its labelings; that is sound because two labelings
+    # with the same record vertices agree on goodness
+    A, w, mark, s1, s2 = case
+    x1, x2 = Labeled(A, s1), Labeled(A, s2)
+    if cycle_minima(x1, w).vertices == cycle_minima(x2, w).vertices:
+        assert is_cycle_good(x1, w) == is_cycle_good(x2, w)
+    y1, y2 = MarkedLabeled(A, mark, s1), MarkedLabeled(A, mark, s2)
+    if branch_records(y1, w).vertices == branch_records(y2, w).vertices:
+        assert is_branch_good(y1, w) == is_branch_good(y2, w)
