@@ -39,7 +39,8 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise _CliError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser can follow
         raise _CliError("%s is not valid JSON: %s" % (path, exc))
 
 
@@ -51,13 +52,8 @@ def _load_automaton(path):
         raise _CliError("%s: %s" % (path, exc))
 
 
-def _emit(payload, out=None):
-    text = json.dumps(payload, sort_keys=True)
-    if out is None:
-        print(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+def _emit(payload):
+    print(json.dumps(payload, sort_keys=True))
 
 
 def _cmd_gen(args):

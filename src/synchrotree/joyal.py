@@ -16,12 +16,12 @@ from .records import (
     Labeled,
     MarkedLabeled,
     SECOND_THEN_FIRST,
+    _arrival_among,
     _arrival_on,
     _branch_records,
+    _check_word_pair,
     _witness,
-    branch_records,
     cycle_minima,
-    find_collision,
 )
 
 
@@ -130,13 +130,13 @@ def unfold_branch(y, word, check=True):
     return Labeled(plan.apply(A), y.sigma), plan
 
 
-def unfold_pair(x, w1, w2, order=(1, 2), check=True):
+def unfold_pair(x, w1, w2, order=(1, 2)):
     """Unfold both coordinates of a doubly-marked configuration, first the
     named one; legal when the corresponding collision triples are empty.
 
-    With check, verifies afterwards that the coordinate unfolded second kept
-    its records: its branch records on the input equal its cycle minima on
-    the output, or RuntimeError is raised.
+    One walk of each marked thread gives its checks and branch records. The
+    coordinate unfolded second must keep its records: its branch records on
+    the input equal its cycle minima on the output, or RuntimeError is raised.
     """
     order = tuple(order)
     if order not in ((1, 2), (2, 1)):
@@ -146,30 +146,29 @@ def unfold_pair(x, w1, w2, order=(1, 2), check=True):
     sigmas = {1: x.sigma1, 2: x.sigma2}
     words = {1: w1, 2: w2}
     first, second = order
-    if check:
-        for i in (1, 2):
-            if not is_w_tree(A, words[i]):
-                raise ValueError("coordinate %d is not a tree under its word" % i)
-            if thread(A, marks[i], 0, words[i]).cut_time % len(words[i]) != 0:
-                raise ValueError("coordinate %d closes off congruence 0" % i)
-        triples = FIRST_THEN_SECOND if order == (1, 2) else SECOND_THEN_FIRST
-        witness = find_collision(x, w1, w2, triples)
-        if witness is not None:
-            raise CollisionError(witness)
-        before = branch_records(
-            MarkedLabeled(A, marks[second], sigmas[second]), words[second]
-        )
+    records = {}
+    for i in (1, 2):
+        if not is_w_tree(A, words[i]):
+            raise ValueError("coordinate %d is not a tree under its word" % i)
+        th = thread(A, marks[i], 0, words[i])
+        if th.cut_time % len(words[i]) != 0:
+            raise ValueError("coordinate %d closes off congruence 0" % i)
+        records[i] = _branch_records(th, sigmas[i], len(words[i]))
+    _check_word_pair(w1, w2)
+    triples = FIRST_THEN_SECOND if order == (1, 2) else SECOND_THEN_FIRST
+    witness = _witness(A, (w1, w2), _arrival_among(A, words, records, triples))
+    if witness is not None:
+        raise CollisionError(witness)
+    # the checks above cover the first coordinate's own, on this same input
     y1, plan_a = unfold_branch(
-        MarkedLabeled(A, marks[first], sigmas[first]), words[first], check=check
+        MarkedLabeled(A, marks[first], sigmas[first]), words[first], check=False
     )
     y2, plan_b = unfold_branch(
-        MarkedLabeled(y1.automaton, marks[second], sigmas[second]),
-        words[second],
-        check=check,
+        MarkedLabeled(y1.automaton, marks[second], sigmas[second]), words[second]
     )
     out = DoubleLabeled(y2.automaton, x.sigma1, x.sigma2)
-    if check:
-        after = cycle_minima(Labeled(out.automaton, sigmas[second]), words[second])
-        if before.count != after.count or before.vertices != after.vertices:
-            raise RuntimeError("second coordinate records drifted while unfolding")
+    before = records[second]
+    after = cycle_minima(Labeled(out.automaton, sigmas[second]), words[second])
+    if before.count != after.count or before.vertices != after.vertices:
+        raise RuntimeError("second coordinate records drifted while unfolding")
     return out, (plan_a, plan_b)

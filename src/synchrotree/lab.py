@@ -472,11 +472,8 @@ def write_record_csv(record, path):
 
 # exhaustive bijection audit; sizes are hard capped so this stays exact
 
-def _all_automata(n, r=2):
-    autos = []
-    for table in product(range(n), repeat=r * n):
-        autos.append(Automaton([table[l * n:(l + 1) * n] for l in range(r)]))
-    return autos
+def _all_automata(n):
+    return [Automaton([t[:n], t[n:]]) for t in product(range(n), repeat=2 * n)]
 
 
 def _audit_block(autos, sigmas, w):

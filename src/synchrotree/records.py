@@ -15,7 +15,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .core import (
-    Word,
     apply_word_all,
     are_conjugate,
     as_index,
@@ -332,9 +331,10 @@ def is_good_marked_tree(y, word):
     A = y.automaton
     if not is_w_tree(A, word):
         return False
-    if thread(A, y.mark, 0, word).cut_time % len(word) != 0:
+    th = thread(A, y.mark, 0, word)
+    if th.cut_time % len(word) != 0:
         return False
-    return is_branch_good(y, word)
+    return _arrival_on(A, word, _branch_records(th, y.sigma, len(word)).vertices) is None
 
 
 def _check_word_pair(w1, w2):
@@ -357,7 +357,13 @@ def _first_arrival(x, w1, w2, which):
     else:
         coords = {1: _Coordinate(A, x.mark1, x.sigma1), 2: _Coordinate(A, x.mark2, x.sigma2)}
         records = branch_records
-    idx = {i: _indexed(records(coords[i], words[i]).vertices) for i in (1, 2)}
+    return _arrival_among(A, words, {i: records(coords[i], words[i]) for i in (1, 2)}, which)
+
+
+def _arrival_among(A, words, records, which):
+    # _first_arrival's scan on given record sets: for each (i, h, j) in which,
+    # the threads from records[i] walked under words[h] arriving on records[j]
+    idx = {i: _indexed(records[i].vertices) for i in (1, 2)}
     # consecutive triples with the same source and word share one walk set
     for (i, h), group in itertools.groupby(which, key=lambda ihj: ihj[:2]):
         targets = [(ihj, idx[ihj[2]], ihj[2] == h) for ihj in group]

@@ -269,6 +269,22 @@ def test_experiment_cli_writes_csv(tmp_path, capsys):
     assert json.loads(out)["exceedances"] == 0
 
 
+def test_deeply_nested_json_is_invalid_json(tmp_path, capsys):
+    # nesting past the parser's recursion limit is bad input, not a crash
+    # and not exit 1, which means "found nothing"
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    good = tmp_path / "a3.json"
+    good.write_text(json.dumps(A3.to_json_dict()))
+    for argv in (["sync", "--in", str(deep)],
+                 ["explore", "--in", str(good), "--spec", str(deep)],
+                 ["experiment", "height", "--config", str(deep)]):
+        rc, out, err = _run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: %s is not valid JSON: " % deep)
+        assert len(err.splitlines()) == 1
+
+
 def test_missing_and_malformed_files(tmp_path, capsys):
     rc, _, err = _run(capsys, ["sync", "--in", str(tmp_path / "nope.json")])
     assert rc == 2 and "cannot read" in err

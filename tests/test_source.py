@@ -52,3 +52,21 @@ def test_all_lists_every_public_name():
     exported = [getattr(synchrotree, name) for name in synchrotree.__all__
                 if name != "one_letter_view"]
     assert len({id(value) for value in exported}) == len(exported)
+
+
+def test_every_imported_name_is_read():
+    # a module reads each name it imports; __init__.py imports to re-export
+    assert SOURCES
+    found = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += ["%s:%d %s" % (path.name, node.lineno, name)
+                          for name in (a.asname or a.name.split(".")[0] for a in node.names)
+                          if name not in read]
+    assert found == []
