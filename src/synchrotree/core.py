@@ -215,14 +215,9 @@ class Automaton:
     delta[letter][state] is the successor state. No initial or accepting
     states are distinguished. Instances are treated as immutable; rewiring
     always builds a new table.
-
-    view_cycles maps word letters to cycles(apply_word_all(self, word)),
-    filled by records.cycle_minima on first use. delta is read-only, so an
-    entry never goes stale; the map is left out of equality, hashing and
-    pickling, and a rewired automaton starts without one.
     """
 
-    __slots__ = ("n", "r", "delta", "_rows", "_hash", "view_cycles")
+    __slots__ = ("n", "r", "delta", "_rows", "_hash")
 
     def __init__(self, delta):
         arr = np.array(delta)
@@ -240,7 +235,6 @@ class Automaton:
         self.r = r
         self._rows = None
         self._hash = None
-        self.view_cycles = None
 
     @property
     def rows(self):

@@ -74,71 +74,81 @@ class RewiringPlan:
         }
 
 
-def fold_cycles(x, word, check=True):
+def fold_cycles(x, word):
     """Rewire each cycle's closing edge onto the next minimum, marking the
     highest-label minimum; defined on cycle-good configurations.
 
-    Returns the marked tree and the plan. With check, a violated good event
-    raises CollisionError with the offending arrival.
+    Returns the marked tree and the plan. A violated good event raises
+    CollisionError with the offending arrival.
     """
     A = x.automaton
-    k = len(word)
     rs = cycle_minima(x, word)
-    beta = rs.vertices
-    if check:
-        witness = _witness(A, (word,), _arrival_on(A, word, beta))
-        if witness is not None:
-            raise CollisionError(witness)
+    witness = _witness(A, (word,), _arrival_on(A, word, rs.vertices))
+    if witness is not None:
+        raise CollisionError(witness)
+    return _fold(A, rs, x.sigma, word)
+
+
+def _fold(A, records, sigma, word):
+    # fold_cycles' rewiring on the cycle minima of (A, sigma), unchecked
+    k = len(word)
+    beta = records.vertices
     edges = []
-    for p in range(rs.count):
+    for p in range(records.count):
         th = thread(A, beta[p], 0, word)
         if not th.is_cyclic:
             raise RuntimeError("thread from a cycle minimum is not cyclic")
         alpha = th.entries[-1][0]
         edges.append((alpha, word.letters[k - 1], beta[p], beta[p + 1]))
     plan = RewiringPlan("phi", tuple(edges))
-    return MarkedLabeled(plan.apply(A), beta[0], x.sigma), plan
+    return MarkedLabeled(plan.apply(A), beta[0], sigma), plan
 
 
-def unfold_branch(y, word, check=True):
+def unfold_branch(y, word):
     """Re-cut the marked thread at its branch records, restoring one cycle
-    per record; inverse of fold_cycles on its image.
+    per record; inverse of fold_cycles on its image, which the input is
+    checked to lie in.
 
     Each record's first congruence-0 arrival edge moves back one record;
     the thread's closing edge moves onto the last record.
     """
     A = y.automaton
-    k = len(word)
+    if not is_w_tree(A, word):
+        raise ValueError("not a tree under the word")
     th = thread(A, y.mark, 0, word)
-    rs = _branch_records(th, y.sigma, k)
-    b = rs.vertices
-    if check:
-        if not is_w_tree(A, word):
-            raise ValueError("not a tree under the word")
-        if th.cut_time % k != 0:
-            raise ValueError("marked thread closes off congruence 0")
-        witness = _witness(A, (word,), _arrival_on(A, word, b))
-        if witness is not None:
-            raise CollisionError(witness)
+    if th.cut_time % len(word) != 0:
+        raise ValueError("marked thread closes off congruence 0")
+    rs = _branch_records(th, y.sigma, len(word))
+    witness = _witness(A, (word,), _arrival_on(A, word, rs.vertices))
+    if witness is not None:
+        raise CollisionError(witness)
+    return _unfold(A, th, rs, y.sigma, word)
+
+
+def _unfold(A, th, records, sigma, word):
+    # unfold_branch's rewiring along th, the marked thread, unchecked
+    k = len(word)
+    b = records.vertices
     edges = []
-    for pp in range(1, rs.count + 1):
-        pos = rs.positions[pp] if pp < rs.count else th.cut_time
+    for pp in range(1, records.count + 1):
+        pos = records.positions[pp] if pp < records.count else th.cut_time
         src = th.entries[pos - 1][0]
         letter = word.letters[(pos - 1) % k]
         edges.append((src, letter, b[pp], b[pp - 1]))
     plan = RewiringPlan("psi", tuple(edges))
-    return Labeled(plan.apply(A), y.sigma), plan
+    return Labeled(plan.apply(A), sigma), plan
 
 
 def unfold_pair(x, w1, w2, order=(1, 2)):
     """Unfold both coordinates of a doubly-marked configuration, first the
     named one; legal when the corresponding collision triples are empty.
 
-    One walk of each marked thread gives its checks and branch records. The
+    One walk of each marked thread gives its checks and branch records; the
+    coordinate unfolded first is rewired along that same walk. The
     coordinate unfolded second must keep its records: its branch records on
     the input equal its cycle minima on the output, or RuntimeError is raised.
     """
-    order = tuple(order)
+    order = tuple(order) if hasattr(order, "__iter__") else None
     if order not in ((1, 2), (2, 1)):
         raise ValueError("order must be (1, 2) or (2, 1)")
     A = x.automaton
@@ -146,11 +156,11 @@ def unfold_pair(x, w1, w2, order=(1, 2)):
     sigmas = {1: x.sigma1, 2: x.sigma2}
     words = {1: w1, 2: w2}
     first, second = order
-    records = {}
+    threads, records = {}, {}
     for i in (1, 2):
         if not is_w_tree(A, words[i]):
             raise ValueError("coordinate %d is not a tree under its word" % i)
-        th = thread(A, marks[i], 0, words[i])
+        th = threads[i] = thread(A, marks[i], 0, words[i])
         if th.cut_time % len(words[i]) != 0:
             raise ValueError("coordinate %d closes off congruence 0" % i)
         records[i] = _branch_records(th, sigmas[i], len(words[i]))
@@ -160,9 +170,7 @@ def unfold_pair(x, w1, w2, order=(1, 2)):
     if witness is not None:
         raise CollisionError(witness)
     # the checks above cover the first coordinate's own, on this same input
-    y1, plan_a = unfold_branch(
-        MarkedLabeled(A, marks[first], sigmas[first]), words[first], check=False
-    )
+    y1, plan_a = _unfold(A, threads[first], records[first], sigmas[first], words[first])
     y2, plan_b = unfold_branch(
         MarkedLabeled(y1.automaton, marks[second], sigmas[second]), words[second]
     )

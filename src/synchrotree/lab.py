@@ -24,6 +24,7 @@ from .core import (
     apply_word_all,
     automaton_from_json,
     count_nc_words,
+    cycles,
     enumerate_nc_words,
     are_conjugate,
     as_index,
@@ -40,16 +41,15 @@ from .records import (
     ALL_TRIPLES,
     DoubleLabeled,
     DoubleMarked,
-    Labeled,
     MarkedLabeled,
     _arrival_on,
     _branch_records,
+    _cycle_minima,
     _first_arrival,
-    cycle_minima,
     is_good_marked_tree,
     random_labeling,
 )
-from .joyal import fold_cycles, unfold_branch, unfold_pair
+from .joyal import _fold, _unfold, unfold_pair
 from .sync import pick_tree_length, tree_sync_word
 
 
@@ -489,21 +489,22 @@ def _audit_block(autos, sigmas, w):
     in autos, labeling) for x and (position, mark, labeling) for y, so no
     rewired automaton outlives its map.
 
-    The labelings of one automaton (x) or one mark (y) share each record
-    set's collision scan, and y's records are read off the mark's one
-    thread walk; no scan or thread is kept past its automaton or mark.
+    The cycles of each automaton under w and the thread of each mark are
+    computed once, and every labeling's records read off them; labelings
+    with one record set share its scan. None outlives its automaton or mark.
     """
     position = {A.rows: i for i, A in enumerate(autos)}
     k = len(w)
     folds = {}
     for i, A in enumerate(autos):
+        cycs = cycles(apply_word_all(A, w))
         scan = functools.cache(functools.partial(_arrival_on, A, w))
         for sigma in sigmas:
-            x = Labeled(A, sigma)
-            if scan(cycle_minima(x, w).vertices) is not None:
+            rs = _cycle_minima(cycs, sigma)
+            if scan(rs.vertices) is not None:
                 continue
             try:
-                y, _ = fold_cycles(x, w, check=False)
+                y, _ = _fold(A, rs, sigma, w)
                 folds[i, sigma] = (position[y.automaton.rows], y.mark, y.sigma)
             except ValueError:
                 folds[i, sigma] = None
@@ -517,11 +518,11 @@ def _audit_block(autos, sigmas, w):
                 continue
             scan = functools.cache(functools.partial(_arrival_on, A, w))
             for sigma in sigmas:
-                y = MarkedLabeled(A, mark, sigma)
-                if scan(_branch_records(th, y.sigma, k).vertices) is not None:
+                rs = _branch_records(th, sigma, k)
+                if scan(rs.vertices) is not None:
                     continue
                 try:
-                    x, _ = unfold_branch(y, w, check=False)
+                    x, _ = _unfold(A, th, rs, sigma, w)
                     unfolds[i, mark, sigma] = (position[x.automaton.rows], x.sigma)
                 except ValueError:
                     unfolds[i, mark, sigma] = None

@@ -2,16 +2,16 @@
 
 A labeling sigma is a permutation of the states, read as a priority order.
 Record sets collect the distinguished vertices where the rewiring bijection
-deletes and reattaches edges; the good events rule out thread arrivals that
-would make those rewirings ambiguous. One thread walk, _scan_collisions,
-finds the first such arrival: the one-word events scan a single record
-set, and find_collision scans (i, h, j) triples across two coordinates, on
-their cycle minima or on their branch records. The predicates build no
-CollisionWitness; only the *_collision functions and joyal's checks do.
+deletes and reattaches edges, read off the one-letter view's cycles
+(_cycle_minima) or off the marked thread (_branch_records); the good events
+rule out thread arrivals that would make those rewirings ambiguous. One
+thread walk, _scan_collisions, finds the first such arrival: the one-word
+events scan a single record set, and find_collision scans (i, h, j) triples
+across two coordinates. The predicates build no CollisionWitness; only the
+*_collision functions and joyal's checks do.
 """
 
 import itertools
-from collections import namedtuple
 from dataclasses import dataclass
 
 from .core import (
@@ -103,11 +103,6 @@ class DoubleLabeled:
         object.__setattr__(self, "sigma2", _check_sigma(self.sigma2, n))
 
 
-# one coordinate of a DoubleLabeled or DoubleMarked, whose fields are
-# already validated, as cycle_minima and branch_records read it
-_Coordinate = namedtuple("_Coordinate", "automaton mark sigma")
-
-
 @dataclass(frozen=True)
 class RecordSet:
     """count distinguished vertices plus one closing companion.
@@ -157,18 +152,12 @@ class CollisionWitness:
 
 def cycle_minima(x, word):
     """Label minima of the cycles of the one-letter view, one per cycle,
-    sorted by decreasing label, plus the predecessor of the last one.
+    sorted by decreasing label, plus the predecessor of the last one."""
+    return _cycle_minima(cycles(apply_word_all(x.automaton, word)), x.sigma)
 
-    The cycles do not depend on the labeling, so they are computed once per
-    automaton and word and kept in A.view_cycles; as A is immutable they
-    cannot go stale."""
-    A = x.automaton
-    sigma = x.sigma
-    if A.view_cycles is None:
-        A.view_cycles = {}
-    cycs = A.view_cycles.get(word.letters)
-    if cycs is None:
-        cycs = A.view_cycles[word.letters] = cycles(apply_word_all(A, word))
+
+def _cycle_minima(cycs, sigma):
+    # cycle_minima read off cycs, the one-letter view's cycles
     mins = []
     for cyc in cycs:
         v = min(cyc, key=sigma.__getitem__)
@@ -352,12 +341,12 @@ def _first_arrival(x, w1, w2, which):
     A = x.automaton
     words = {1: w1, 2: w2}
     if isinstance(x, DoubleLabeled):
-        coords = {1: _Coordinate(A, None, x.sigma1), 2: _Coordinate(A, None, x.sigma2)}
-        records = cycle_minima
+        records = {i: _cycle_minima(cycles(apply_word_all(A, words[i])), s)
+                   for i, s in ((1, x.sigma1), (2, x.sigma2))}
     else:
-        coords = {1: _Coordinate(A, x.mark1, x.sigma1), 2: _Coordinate(A, x.mark2, x.sigma2)}
-        records = branch_records
-    return _arrival_among(A, words, {i: records(coords[i], words[i]) for i in (1, 2)}, which)
+        records = {i: _branch_records(thread(A, v, 0, words[i]), s, len(words[i]))
+                   for i, v, s in ((1, x.mark1, x.sigma1), (2, x.mark2, x.sigma2))}
+    return _arrival_among(A, words, records, which)
 
 
 def _arrival_among(A, words, records, which):
@@ -379,11 +368,14 @@ def find_collision(x, w1, w2, which):
     i's records, walk under word h, and arrivals on coordinate j's records
     count unless j == h and the arrival congruence is 0. The records are
     the branch records of a DoubleMarked and the cycle minima of a
-    DoubleLabeled.
+    DoubleLabeled. Each entry of which must be a tuple in ALL_TRIPLES.
 
     Scan order is the given triple order, then source index, then
     congruence, then time, so the first witness is deterministic.
     """
+    which = tuple(which)
+    if any(ihj not in ALL_TRIPLES for ihj in which):
+        raise ValueError("which must hold (i, h, j) triples of 1s and 2s")
     return _witness(x.automaton, (w1, w2), _first_arrival(x, w1, w2, which))
 
 

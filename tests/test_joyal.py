@@ -105,7 +105,7 @@ def test_fold_rejects_collisions():
         "len": 1,
     }
     # unchecked folding still rewires
-    y, plan = fold_cycles(x, w, check=False)
+    y, plan = joyal._fold(A, cycle_minima(x, w), x.sigma, w)
     assert plan.direction == "phi"
     assert is_w_tree(y.automaton, w)
 
@@ -293,9 +293,9 @@ def test_pair_unfold_checks_drift_without_assert(monkeypatch):
 
 
 def test_pair_unfold_walks_each_marked_thread_once(monkeypatch):
-    # one walk per coordinate for its checks and records, one inside each
-    # unfold_branch; the tree test is skipped only for the first coordinate's
-    # unfold, whose input the entry checks already covered
+    # one walk per coordinate for its checks and records, and one inside the
+    # second coordinate's unfold_branch on the intermediate automaton; the
+    # first coordinate is rewired along its entry walk
     x, A = _folded_pair(9565)
     calls = []
     for module, name in itertools.product((joyal, records), ("thread", "is_w_tree")):
@@ -306,7 +306,7 @@ def test_pair_unfold_walks_each_marked_thread_once(monkeypatch):
         calls.clear()
         out, _ = unfold_pair(x, W1, W2, order=order)
         assert out.automaton.rows == A.rows
-        assert (calls.count("thread"), calls.count("is_w_tree")) == (4, 3)
+        assert (calls.count("thread"), calls.count("is_w_tree")) == (3, 3)
     calls.clear()
     assert is_good_marked_tree(MarkedLabeled(x.automaton, x.mark1, x.sigma1), W1)
     assert calls == ["is_w_tree", "thread"]
@@ -402,8 +402,9 @@ def _pair_unfold_inputs(draw):
                                 min_size=2, max_size=2)))
     s1, s2 = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
     if draw(st.booleans()):
-        y1, _ = fold_cycles(Labeled(A, s1), w1, check=False)
-        y2, _ = fold_cycles(Labeled(y1.automaton, s2), w2, check=False)
+        y1, _ = joyal._fold(A, cycle_minima(Labeled(A, s1), w1), s1, w1)
+        B = y1.automaton
+        y2, _ = joyal._fold(B, cycle_minima(Labeled(B, s2), w2), s2, w2)
         return DoubleMarked(y2.automaton, y1.mark, y2.mark, s1, s2), w1, w2
     marks = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     return DoubleMarked(A, *marks, s1, s2), w1, w2
@@ -454,8 +455,9 @@ def test_pair_fold_of_colliding_labeling_leaves_image():
 
 def test_pair_unfold_validation():
     x = DoubleMarked(Automaton([[0, 0], [0, 0]]), 0, 0, (0, 1), (0, 1))
-    with pytest.raises(ValueError):
-        unfold_pair(x, W1, W2, order=(1, 3))
+    for order in ((1, 3), 5, None):
+        with pytest.raises(ValueError, match=r"order must be \(1, 2\) or \(2, 1\)"):
+            unfold_pair(x, W1, W2, order=order)
     # not a tree under either word
     loop = Automaton([[1, 0], [1, 0]])
     with pytest.raises(ValueError):
@@ -472,9 +474,9 @@ def test_fold_chain_length_matches_map_statistics():
         seed = trial_seed(78, i)
         A = random_automaton(n, 2, seed=seed)
         sigma = random_labeling(n, rng_from_seed(seed))
-        _, plan = fold_cycles(Labeled(A, sigma), word, check=False)
-        sizes.append(len(plan.edges))
         rs = cycle_minima(Labeled(A, sigma), word)
+        _, plan = joyal._fold(A, rs, sigma, word)
+        sizes.append(len(plan.edges))
         assert len(plan.edges) == rs.count
     mean = sum(sizes) / len(sizes)
     assert abs(mean - 0.5 * math.log(n)) < 0.3 * 0.5 * math.log(n)

@@ -476,23 +476,25 @@ def test_audit_block_matches_reference():
 
 
 def test_audit_runs_each_map_once_per_input(monkeypatch):
-    calls = {"fold_cycles": 0, "unfold_branch": 0, "is_good_marked_tree": 0}
+    calls = {"_fold": 0, "_unfold": 0, "is_good_marked_tree": 0}
     for name in calls:
         def counted(*args, _real=getattr(lab, name), _name=name, **kw):
             calls[_name] += 1
             return _real(*args, **kw)
         monkeypatch.setattr(lab, name, counted)
     rows = exp_bijection_audit(2, 3).rows
-    assert calls == {"fold_cycles": sum(r[3] for r in rows),
-                     "unfold_branch": sum(r[4] for r in rows),
+    assert calls == {"_fold": sum(r[3] for r in rows),
+                     "_unfold": sum(r[4] for r in rows),
                      "is_good_marked_tree": 0}
 
 
-def test_audit_computes_view_cycles_once_per_automaton_and_word(monkeypatch):
-    # every labeling of one automaton under one word shares its cycles
+def test_audit_computes_cycles_once_per_automaton_and_word(monkeypatch):
+    # every labeling of one automaton under one word reads its minima off
+    # the audit's one cycles call; no other call site computes cycles
     calls = []
-    real = records.cycles
-    monkeypatch.setattr(records, "cycles", lambda F: calls.append(F) or real(F))
+    for module in (lab, records):
+        monkeypatch.setattr(module, "cycles",
+                            lambda F, real=module.cycles: calls.append(F) or real(F))
     exp_bijection_audit(2, 3)
     pairs = len(lab._all_automata(2)) * sum(
         len(list(enumerate_nc_words(k))) for k in (1, 2, 3))
@@ -519,12 +521,17 @@ def test_audit_fails_both_trips_through_a_raising_map(monkeypatch):
     x = next(Labeled(A, s) for A in autos for s in sigmas if is_cycle_good(Labeled(A, s), w))
     y = next(MarkedLabeled(A, v, s) for A in autos for v in range(2) for s in sigmas
              if is_good_marked_tree(MarkedLabeled(A, v, s), w))
-    real = {"fold_cycles": lab.fold_cycles, "unfold_branch": lab.unfold_branch}
-    for name, chosen in (("fold_cycles", x), ("unfold_branch", y)):
-        def raising(z, word, _real=real[name], _chosen=chosen, **kw):
-            if word == w and z == _chosen:
+    # _fold takes (A, records, sigma, word) and _unfold (A, th, records,
+    # sigma, word), where th.start is (mark, 0)
+    real = {"_fold": lab._fold, "_unfold": lab._unfold}
+    for name, chosen in (("_fold", (x.automaton, x.sigma)),
+                         ("_unfold", (y.automaton, (y.mark, 0), y.sigma))):
+        def raising(A, *args, _real=real[name], _chosen=chosen):
+            *_, sigma, word = args
+            key = (A, sigma) if len(args) == 3 else (A, args[0].start, sigma)
+            if word == w and key == _chosen:
                 raise ValueError("injected")
-            return _real(z, word, **kw)
+            return _real(A, *args)
         with monkeypatch.context() as m:
             m.setattr(lab, name, raising)
             record = exp_bijection_audit(2, 2)
@@ -590,18 +597,18 @@ def test_goodness_predicates_build_no_witness(monkeypatch):
 
 def test_audit_catches_a_broken_bijection(monkeypatch):
     # the audit must compare what it round-trips, not only run it
-    real_unfold, real_fold = lab.unfold_branch, lab.fold_cycles
+    real_unfold, real_fold = lab._unfold, lab._fold
 
-    def relabeled_unfold(y, w, **kw):
-        x, plan = real_unfold(y, w, **kw)
+    def relabeled_unfold(*args):
+        x, plan = real_unfold(*args)
         return Labeled(x.automaton, x.sigma[1:] + x.sigma[:1]), plan
 
-    def shifted_fold(x, w, **kw):
-        y, plan = real_fold(x, w, **kw)
+    def shifted_fold(*args):
+        y, plan = real_fold(*args)
         return MarkedLabeled(y.automaton, (y.mark + 1) % y.automaton.n, y.sigma), plan
 
-    for name, broken in (("unfold_branch", relabeled_unfold),
-                         ("fold_cycles", shifted_fold)):
+    for name, broken in (("_unfold", relabeled_unfold),
+                         ("_fold", shifted_fold)):
         with monkeypatch.context() as m:
             m.setattr(lab, name, broken)
             agg = exp_bijection_audit(2, 2).aggregates

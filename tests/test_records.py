@@ -1,5 +1,4 @@
 import itertools
-import pickle
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from synchrotree.core import (
     thread,
     trial_seed,
 )
-from synchrotree.joyal import fold_cycles
 from synchrotree.records import (
     ALL_TRIPLES,
     FIRST_THEN_SECOND,
@@ -74,6 +72,8 @@ def test_cycle_minima_closing_predecessor():
     rec = cycle_minima(Labeled(A, (1, 0)), Word("a"))
     assert rec.vertices == (1, 0)
     assert rec.positions == (0, 1)
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        cycle_minima(Labeled(A, (0, 1)), Word((0, 2)))
 
 
 def test_branch_records_frozen():
@@ -314,6 +314,12 @@ def test_word_pair_preconditions():
         find_collision(y, Word("abab"), Word("aabb"), ALL_TRIPLES)
     with pytest.raises(ValueError):
         has_minima_collision(A3, ID3, ID3, Word("aab"), Word("aab"))
+    # which holds only the eight (i, h, j) triples over coordinates 1 and 2
+    x = DoubleLabeled(A3, ID3, ID3)
+    for which in ([(3, 1, 1)], [(1, 1)], [(1, 1, 1), (0, 2, 2)], [[1, 1, 1]]):
+        for z in (x, y):
+            with pytest.raises(ValueError, match="which"):
+                find_collision(z, Word("aab"), Word("abb"), which)
 
 
 def test_good_marked_tree_decomposition():
@@ -558,46 +564,6 @@ def test_find_collision_matches_reference_scan(case, which):
     x, w1, w2 = case
     want = _reference_find(x, w1, w2, which, first_only=True)
     assert find_collision(x, w1, w2, which) == (want[0] if want else None)
-
-
-@st.composite
-def _warmed_automata(draw):
-    n = draw(st.integers(1, 30))
-    r = draw(st.integers(2, 3))
-    delta = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
-                          min_size=r, max_size=r))
-    words = st.lists(st.integers(0, r - 1), min_size=1, max_size=5).map(Word)
-    labelings = st.permutations(range(n))
-    warm = draw(st.lists(st.tuples(words, labelings), max_size=6))
-    w, sigma = draw(words), draw(labelings)
-    # the word under test is warmed too, under another labeling
-    warm.append((w, draw(labelings)))
-    return Automaton(delta), warm, w, sigma
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=_warmed_automata())
-def test_cycle_minima_memo_is_invisible(case):
-    A, warm, w, sigma = case
-    fresh = Automaton(A.delta)
-    for u, s in warm:
-        cycle_minima(Labeled(A, s), u)
-    assert A.view_cycles
-    x = Labeled(A, sigma)
-    assert cycle_minima(x, w) == cycle_minima(Labeled(fresh, sigma), w)
-    # the kept cycles change no identity of the automaton
-    assert A == fresh and hash(A) == hash(fresh)
-    assert pickle.dumps(A) == pickle.dumps(Automaton(A.delta))
-    copy = pickle.loads(pickle.dumps(A))
-    assert copy == A and copy.view_cycles is None
-    if is_cycle_good(x, w):
-        y, _ = fold_cycles(x, w)
-        assert y.automaton.view_cycles is None
-        rs = cycle_minima(Labeled(y.automaton, sigma), w)
-        assert y.automaton.view_cycles == {w.letters: cycles(one_letter_view(y.automaton, w))}
-        assert rs == cycle_minima(Labeled(Automaton(y.automaton.delta), sigma), w)
-    with pytest.raises(ValueError, match="outside the alphabet"):
-        cycle_minima(x, Word(w.letters + (A.r,)))
 
 
 @st.composite

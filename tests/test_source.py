@@ -1,4 +1,5 @@
 import ast
+import importlib
 import pathlib
 import sys
 import types
@@ -70,3 +71,15 @@ def test_every_imported_name_is_read():
                           for name in (a.asname or a.name.split(".")[0] for a in node.names)
                           if name not in read]
     assert found == []
+
+
+def test_bench_bindings_resolve(monkeypatch):
+    # the traced bench rebinds each (module, name) in COUNTED to count its
+    # calls, so a refactor that unbinds one, or drops a name the bench
+    # imports, must fail here and not only in the traced bench
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    workloads = importlib.import_module("workloads")
+    assert workloads.COUNTED
+    for module, name, _ in workloads.COUNTED:
+        assert callable(getattr(module, name)), (module.__name__, name)
