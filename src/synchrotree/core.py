@@ -486,7 +486,11 @@ def height(succ):
         rank[front] = t
         heads = succ[front]
         np.subtract.at(indeg, heads, 1)
-        front = np.unique(heads[indeg[heads] == 0])
+        # deduplicated by hand: np.unique is slower and loads numpy.ma
+        front = np.sort(heads[indeg[heads] == 0])
+        keep = np.ones(front.size, dtype=bool)
+        keep[1:] = front[1:] != front[:-1]
+        front = front[keep]
     # cycle lengths by pointer doubling with min labels, on the cyclic points
     cyc = np.flatnonzero(rank == 0)
     pos = np.zeros(n, dtype=np.int64)

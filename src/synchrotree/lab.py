@@ -39,14 +39,13 @@ from .core import (
 )
 from .records import (
     ALL_TRIPLES,
-    DoubleLabeled,
     DoubleMarked,
-    MarkedLabeled,
+    _arrival_among,
     _arrival_on,
     _branch_records,
     _cycle_minima,
     _first_arrival,
-    is_good_marked_tree,
+    _good_marked_tree,
     random_labeling,
 )
 from .joyal import _fold, _unfold, unfold_pair
@@ -187,13 +186,16 @@ def load_automaton(path):
         return automaton_from_json(json.load(f))
 
 
-# one row per trial; module level so process pools can pick them up
+# one row per trial; module level so process pools can pick them up. Trials
+# read records off their own draws: random_labeling's are valid by contract
+
+_word_of = functools.cache(Word)  # one immutable Word per text, not per trial
+
 
 def _row_tree_probability(cfg, n, k, trial, seed):
     rng = rng_from_seed(seed)
     A = random_automaton(n, seed=rng)
-    w = Word(cfg.word)
-    return (n, trial, int(is_w_tree(A, w)))
+    return (n, trial, int(is_w_tree(A, _word_of(cfg.word))))
 
 
 def _row_moment_estimate(cfg, n, k, trial, seed):
@@ -202,8 +204,7 @@ def _row_moment_estimate(cfg, n, k, trial, seed):
     v = int(rng.integers(0, n))
     sigma = random_labeling(n, rng)
     w = random_nc_word(k, A.r, rng)
-    hit = is_good_marked_tree(MarkedLabeled(A, v, sigma), w)
-    return (n, trial, int(hit))
+    return (n, trial, int(_good_marked_tree(A, v, sigma, w)))
 
 
 def _row_scaling(cfg, n, k, trial, seed):
@@ -234,12 +235,13 @@ def _row_goodness(cfg, n, k, trial, seed):
     rng = rng_from_seed(seed)
     w1, w2 = _nc_word_pair(k)
     A = random_automaton(n, seed=rng)
-    x = DoubleLabeled(A, random_labeling(n, rng), random_labeling(n, rng))
-    # has_minima_collision's scan; it finishes triple (1, 1, 1), the
-    # cycle-good event of sigma1 under w1, before any other triple
-    arrival = _first_arrival(x, w1, w2, ALL_TRIPLES)
-    cycle_bad = arrival is not None and arrival[0] == (1, 1, 1)  # its triple
-    return (n, trial, k, int(cycle_bad), int(arrival is not None))
+    minima1 = _cycle_minima(cycles(apply_word_all(A, w1)), random_labeling(n, rng))
+    # triple (1, 1, 1) decides cycle_bad; a cycle-bad trial never draws sigma2
+    if _arrival_on(A, w1, minima1.vertices) is not None:
+        return (n, trial, k, 1, 1)
+    minima2 = _cycle_minima(cycles(apply_word_all(A, w2)), random_labeling(n, rng))
+    arrival = _arrival_among(A, {1: w1, 2: w2}, {1: minima1, 2: minima2}, ALL_TRIPLES[1:])
+    return (n, trial, k, 0, int(arrival is not None))
 
 
 def _row_height(cfg, n, k, trial, seed):
@@ -413,7 +415,7 @@ def run(config, workers=None):
         for si, n in enumerate(config.sizes):
             k = resolve_k(config.k_rule, n)
             if config.experiment == "tree_probability":
-                k = len(Word(config.word))
+                k = len(_word_of(config.word))
             for trial in range(config.trials):
                 index = si * config.trials + trial
                 jobs.append((config, n, k, trial, trial_seed(config.seed, index)))

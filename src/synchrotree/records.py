@@ -317,13 +317,17 @@ def is_branch_good(y, word):
 def is_good_marked_tree(y, word):
     """Tree under the word, thread of the mark closing at congruence 0,
     and branch-good: the image set of the cycle-folding map."""
-    A = y.automaton
+    return _good_marked_tree(y.automaton, y.mark, y.sigma, word)
+
+
+def _good_marked_tree(A, mark, sigma, word):
+    # is_good_marked_tree on a checked mark and labeling
     if not is_w_tree(A, word):
         return False
-    th = thread(A, y.mark, 0, word)
+    th = thread(A, mark, 0, word)
     if th.cut_time % len(word) != 0:
         return False
-    return _arrival_on(A, word, _branch_records(th, y.sigma, len(word)).vertices) is None
+    return _arrival_on(A, word, _branch_records(th, sigma, len(word)).vertices) is None
 
 
 def _check_word_pair(w1, w2):

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -356,6 +360,20 @@ def test_height():
     assert height(one_letter_view(A3, AB)) == 1
     # chain 3 -> 2 -> 1 -> 0 -> 0
     assert height(np.array([0, 0, 1, 2])) == 3
+
+
+def test_height_leaves_numpy_ma_unloaded():
+    # np.unique would import numpy.ma, 1.25 MB resident that no lab height
+    # run otherwise loads; a fresh interpreter, as other tests import it.
+    # 2 and 3 both lead only to 1, so a round's front must drop a duplicate
+    src = pathlib.Path(__file__).parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, numpy as np; from synchrotree.core import height; "
+            "print(height(np.array([0, 0, 1, 1, 2, 3])), 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.stdout == "3 False\n"
 
 
 def _reference_height(f):

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -17,6 +19,7 @@ from synchrotree.core import (
     enumerate_nc_words,
     is_w_tree,
     random_automaton,
+    random_nc_word,
     rng_from_seed,
     trial_seed,
 )
@@ -279,6 +282,83 @@ def test_goodness_row_flags_are_the_two_events(n, k, seed):
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    k=st.sampled_from([1, 2, 3, 4, 6]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_moment_row_hit_is_the_good_marked_tree_event(n, k, seed):
+    cfg = ExperimentConfig(
+        experiment="moment_estimate", sizes=(n,), k_rule=("explicit", k)
+    )
+    row = lab.EXPERIMENTS["moment_estimate"].row(cfg, n, k, 0, seed)
+    rng = rng_from_seed(seed)
+    A = random_automaton(n, seed=rng)
+    v = int(rng.integers(0, n))
+    sigma = random_labeling(n, rng)
+    w = random_nc_word(k, A.r, rng)
+    assert row == (n, 0, int(is_good_marked_tree(MarkedLabeled(A, v, sigma), w)))
+
+
+def test_trials_compute_only_what_their_row_reads(monkeypatch):
+    # a cycle-bad goodness trial stops at triple (1, 1, 1): one labeling
+    # and one cycles call, against two for a cycle-good trial; no trial
+    # checks the labelings it drew
+    calls = {"cycles": 0, "random_labeling": 0, "_check_sigma": 0}
+    for module, name in ((lab, "cycles"), (records, "cycles"),
+                         (lab, "random_labeling"), (records, "_check_sigma")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    rows = run(_goodness_cfg()).rows
+    bad = sum(r[3] for r in rows)
+    assert 0 < bad < len(rows)
+    per_trial = 2 * len(rows) - bad
+    assert calls == {"cycles": per_trial, "random_labeling": per_trial, "_check_sigma": 0}
+    run(ExperimentConfig(experiment="moment_estimate", sizes=(12,), trials=50,
+                         k_rule=("explicit", 3)))
+    assert calls["random_labeling"] == per_trial + 50
+    assert calls["_check_sigma"] == 0
+
+
+# sha256 of each config's CSV: the rows, RNG streams and CSV bytes that a
+# change to the trial bodies must keep
+_FROZEN_CSVS = (
+    (ExperimentConfig(experiment="goodness", sizes=(100, 400), trials=40,
+                      k_rule=("log2", 0.2)),
+     "9d6bd87ae3ac0d17afdcb59ac28aa4d2e6541f617d9ce0abe38f9c61173bd127"),
+    (ExperimentConfig(experiment="moment_estimate", sizes=(12,), trials=400,
+                      k_rule=("explicit", 3)),
+     "a2933cf4345f259e3d743c6c1f26a583753d13b11e40e6ee004ac6251d530a03"),
+)
+
+
+@pytest.mark.parametrize("cfg, digest", _FROZEN_CSVS,
+                         ids=[cfg.experiment for cfg, _ in _FROZEN_CSVS])
+def test_csv_bytes_frozen(tmp_path, cfg, digest):
+    path = str(tmp_path / "rows.csv")
+    record = run(dataclasses.replace(cfg, out=path))
+    with open(path, "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == digest
+    # both branches ran: cycle-good goodness trials scanned their second
+    # coordinate, and the moment trials found good marked trees
+    if cfg.experiment == "goodness":
+        assert 0 < sum(r[3] for r in record.rows) < len(record.rows)
+    else:
+        assert sum(r[2] for r in record.rows) > 0
+
+
+def test_tree_probability_parses_its_word_once():
+    # one parse; run's k per size and every row read the cached Word
+    lab._word_of.cache_clear()
+    run(ExperimentConfig(experiment="tree_probability", sizes=(6, 8), trials=20,
+                         word="aab", k_rule=("explicit", 3)))
+    info = lab._word_of.cache_info()
+    assert (info.misses, info.hits) == (1, 2 + 40 - 1)
+
+
 def test_single_trial_runs():
     record = run(
         ExperimentConfig(
@@ -476,7 +556,7 @@ def test_audit_block_matches_reference():
 
 
 def test_audit_runs_each_map_once_per_input(monkeypatch):
-    calls = {"_fold": 0, "_unfold": 0, "is_good_marked_tree": 0}
+    calls = {"_fold": 0, "_unfold": 0, "_good_marked_tree": 0}
     for name in calls:
         def counted(*args, _real=getattr(lab, name), _name=name, **kw):
             calls[_name] += 1
@@ -485,7 +565,7 @@ def test_audit_runs_each_map_once_per_input(monkeypatch):
     rows = exp_bijection_audit(2, 3).rows
     assert calls == {"_fold": sum(r[3] for r in rows),
                      "_unfold": sum(r[4] for r in rows),
-                     "is_good_marked_tree": 0}
+                     "_good_marked_tree": 0}
 
 
 def test_audit_computes_cycles_once_per_automaton_and_word(monkeypatch):

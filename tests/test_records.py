@@ -454,6 +454,16 @@ def test_labeling_validation():
         DoubleMarked(A3, 0, -1, ID3, ID3)
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 300), seed=st.integers(0, 2**64 - 1))
+def test_random_labeling_is_a_permutation_of_plain_ints(n, seed):
+    # the lab trials read records off these draws without _check_sigma
+    sigma = random_labeling(n, rng_from_seed(seed))
+    assert type(sigma) is tuple
+    assert all(type(x) is int for x in sigma)
+    assert sorted(sigma) == list(range(n))
+
+
 def test_labelings_and_marks_must_be_integers():
     # int() would truncate these to a valid labeling or mark
     with pytest.raises(ValueError):
