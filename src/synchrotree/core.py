@@ -462,6 +462,14 @@ def cyclic_points(succ):
     return frozenset(v for cyc in cycles(succ) for v in cyc)
 
 
+def _sorted_unique(a):
+    # np.unique(a) for a 1-d a, by hand: np.unique is slower and loads numpy.ma
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def height(succ):
     """Length of the longest vertex-repetition-free chain of transitions
     of the map v -> succ[v], for a successor array succ.
@@ -486,11 +494,7 @@ def height(succ):
         rank[front] = t
         heads = succ[front]
         np.subtract.at(indeg, heads, 1)
-        # deduplicated by hand: np.unique is slower and loads numpy.ma
-        front = np.sort(heads[indeg[heads] == 0])
-        keep = np.ones(front.size, dtype=bool)
-        keep[1:] = front[1:] != front[:-1]
-        front = front[keep]
+        front = _sorted_unique(heads[indeg[heads] == 0])
     # cycle lengths by pointer doubling with min labels, on the cyclic points
     cyc = np.flatnonzero(rank == 0)
     pos = np.zeros(n, dtype=np.int64)

@@ -3,8 +3,8 @@
 The forward map deletes the edge closing each cycle at its label minimum
 and chains the cycles together in decreasing label order, leaving a tree
 whose marked thread retraces the chain. The inverse reads the branch lower
-records of the marked thread and re-closes the cycles. Both directions
-return the rewiring plan actually applied; automata are never mutated.
+records of the marked thread and re-closes the cycles. Each direction's
+plan rewires a rows tuple; only the public maps build a new automaton.
 """
 
 from dataclasses import dataclass
@@ -41,7 +41,8 @@ class RewiringPlan:
     """The edge substitutions one direction of the bijection performs.
 
     edges holds (source, letter, old_target, new_target) rows; sources and
-    letters form distinct slots, so applying them in any order agrees.
+    letters form distinct slots, so applying them in any order agrees, and
+    a repeated slot or an old target the table does not hold is a ValueError.
     direction uses the wire names "phi" (fold) and "psi" (unfold).
     """
 
@@ -49,7 +50,11 @@ class RewiringPlan:
     edges: tuple
 
     def apply(self, A):
-        rows = [list(row) for row in A.rows]
+        return Automaton(self.rewire(A.rows))
+
+    def rewire(self, rows):
+        """rows, as Automaton.rows holds them, with the edges substituted."""
+        rows = [list(row) for row in rows]
         slots = set()
         for src, letter, old, new in self.edges:
             if (src, letter) in slots:
@@ -58,7 +63,7 @@ class RewiringPlan:
             if rows[letter][src] != old:
                 raise ValueError("plan does not match the automaton")
             rows[letter][src] = new
-        return Automaton(rows)
+        return tuple(map(tuple, rows))
 
     def inverse(self):
         flipped = tuple((s, l, new, old) for s, l, old, new in self.edges)
@@ -86,11 +91,12 @@ def fold_cycles(x, word):
     witness = _witness(A, (word,), _arrival_on(A, word, rs.vertices))
     if witness is not None:
         raise CollisionError(witness)
-    return _fold(A, rs, x.sigma, word)
+    plan = _fold(A, rs, word)
+    return MarkedLabeled(plan.apply(A), rs.vertices[0], x.sigma), plan
 
 
-def _fold(A, records, sigma, word):
-    # fold_cycles' rewiring on the cycle minima of (A, sigma), unchecked
+def _fold(A, records, word):
+    # fold_cycles' plan on the cycle minima records, unchecked
     k = len(word)
     beta = records.vertices
     edges = []
@@ -100,8 +106,7 @@ def _fold(A, records, sigma, word):
             raise RuntimeError("thread from a cycle minimum is not cyclic")
         alpha = th.entries[-1][0]
         edges.append((alpha, word.letters[k - 1], beta[p], beta[p + 1]))
-    plan = RewiringPlan("phi", tuple(edges))
-    return MarkedLabeled(plan.apply(A), beta[0], sigma), plan
+    return RewiringPlan("phi", tuple(edges))
 
 
 def unfold_branch(y, word):
@@ -122,11 +127,12 @@ def unfold_branch(y, word):
     witness = _witness(A, (word,), _arrival_on(A, word, rs.vertices))
     if witness is not None:
         raise CollisionError(witness)
-    return _unfold(A, th, rs, y.sigma, word)
+    plan = _unfold(th, rs, word)
+    return Labeled(plan.apply(A), y.sigma), plan
 
 
-def _unfold(A, th, records, sigma, word):
-    # unfold_branch's rewiring along th, the marked thread, unchecked
+def _unfold(th, records, word):
+    # unfold_branch's plan along th, the marked thread, unchecked
     k = len(word)
     b = records.vertices
     edges = []
@@ -135,8 +141,7 @@ def _unfold(A, th, records, sigma, word):
         src = th.entries[pos - 1][0]
         letter = word.letters[(pos - 1) % k]
         edges.append((src, letter, b[pp], b[pp - 1]))
-    plan = RewiringPlan("psi", tuple(edges))
-    return Labeled(plan.apply(A), sigma), plan
+    return RewiringPlan("psi", tuple(edges))
 
 
 def unfold_pair(x, w1, w2, order=(1, 2)):
@@ -170,9 +175,9 @@ def unfold_pair(x, w1, w2, order=(1, 2)):
     if witness is not None:
         raise CollisionError(witness)
     # the checks above cover the first coordinate's own, on this same input
-    y1, plan_a = _unfold(A, threads[first], records[first], sigmas[first], words[first])
+    plan_a = _unfold(threads[first], records[first], words[first])
     y2, plan_b = unfold_branch(
-        MarkedLabeled(y1.automaton, marks[second], sigmas[second]), words[second]
+        MarkedLabeled(plan_a.apply(A), marks[second], sigmas[second]), words[second]
     )
     out = DoubleLabeled(y2.automaton, x.sigma1, x.sigma2)
     before = records[second]

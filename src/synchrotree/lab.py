@@ -484,48 +484,51 @@ def _audit_block(autos, sigmas, w):
     failures), and the good marked trees as keys.
 
     Each cycle-good x is folded and each good marked tree y unfolded once,
-    without entry checks, and the image's key is stored, or None where the
-    map raised ValueError. As the inputs are exhaustive, x's trip holds
-    when fold(x) is a stored good tree that unfolds to x, and y's trip when
-    unfold(y) is a stored cycle-good x that folds to y. Keys are (position
-    in autos, labeling) for x and (position, mark, labeling) for y, so no
-    rewired automaton outlives its map.
+    without entry checks, and no map builds an automaton: an image's key is
+    read off its plan's rewired rows, as (their position in autos, labeling)
+    for x and (position, mark, labeling) for y, or is None where the plan
+    raised ValueError. As the inputs are exhaustive, x's trip holds when
+    fold(x) is a stored good tree that unfolds to x, and y's trip when
+    unfold(y) is a stored cycle-good x that folds to y; rows not in autos
+    have no position, and their trips fail.
 
-    The cycles of each automaton under w and the thread of each mark are
-    computed once, and every labeling's records read off them; labelings
-    with one record set share its scan. None outlives its automaton or mark.
+    One cycles call per automaton gives every labeling's minima and the
+    tree test, as a loop-rooted tree is one cycle, of length 1. Each mark's
+    thread is walked once, and record sets met twice on one automaton
+    share one collision scan.
     """
     position = {A.rows: i for i, A in enumerate(autos)}
     k = len(w)
-    folds = {}
+    folds, unfolds = {}, {}
     for i, A in enumerate(autos):
         cycs = cycles(apply_word_all(A, w))
-        scan = functools.cache(functools.partial(_arrival_on, A, w))
+        scans = {}  # record vertices -> first arrival on them, or None
         for sigma in sigmas:
             rs = _cycle_minima(cycs, sigma)
-            if scan(rs.vertices) is not None:
+            if rs.vertices not in scans:
+                scans[rs.vertices] = _arrival_on(A, w, rs.vertices)
+            if scans[rs.vertices] is not None:
                 continue
             try:
-                y, _ = _fold(A, rs, sigma, w)
-                folds[i, sigma] = (position[y.automaton.rows], y.mark, y.sigma)
+                rows = _fold(A, rs, w).rewire(A.rows)
+                folds[i, sigma] = (position.get(rows), rs.vertices[0], sigma)
             except ValueError:
                 folds[i, sigma] = None
-    unfolds = {}
-    for i, A in enumerate(autos):
-        if not is_w_tree(A, w):
+        if len(cycs) != 1 or len(cycs[0]) != 1:
             continue
         for mark in range(A.n):
             th = thread(A, mark, 0, w)
             if th.cut_time % k != 0:
                 continue
-            scan = functools.cache(functools.partial(_arrival_on, A, w))
             for sigma in sigmas:
                 rs = _branch_records(th, sigma, k)
-                if scan(rs.vertices) is not None:
+                if rs.vertices not in scans:
+                    scans[rs.vertices] = _arrival_on(A, w, rs.vertices)
+                if scans[rs.vertices] is not None:
                     continue
                 try:
-                    x, _ = _unfold(A, th, rs, sigma, w)
-                    unfolds[i, mark, sigma] = (position[x.automaton.rows], x.sigma)
+                    rows = _unfold(th, rs, w).rewire(A.rows)
+                    unfolds[i, mark, sigma] = (position.get(rows), sigma)
                 except ValueError:
                     unfolds[i, mark, sigma] = None
     fails = sum(y is None or unfolds.get(y) != x for x, y in folds.items())

@@ -28,6 +28,7 @@ import numpy as np
 from .core import (
     Automaton,
     Word,
+    _sorted_unique,
     apply_word_all,
     as_index,
     height,
@@ -226,7 +227,7 @@ def _tree_words(A, k, batches):
     """
     n, r = A.n, A.r
     table, b = _block_table(A, k)
-    starts = np.unique(np.linspace(0, n - 1, _STARTS).astype(np.int64))
+    starts = _sorted_unique(np.linspace(0, n - 1, _STARTS).astype(np.int64))
     pending = []  # indices of hit rotations the scan has not passed
 
     def tree(c):
@@ -407,7 +408,7 @@ def greedy_fallback(A):
         while p != q:
             l = int(step[p * n + q])
             letters.append(l)
-            current = np.unique(A.delta[l][current])
+            current = _sorted_unique(A.delta[l][current])
             p, q = sorted((rows[l][p], rows[l][q]))
     word = Word(letters)
     sink = is_synchronizing(A, word)

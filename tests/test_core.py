@@ -15,6 +15,7 @@ from synchrotree.core import (
     Automaton,
     SchemaError,
     Word,
+    _sorted_unique,
     apply_word,
     apply_word_all,
     are_conjugate,
@@ -374,6 +375,13 @@ def test_height_leaves_numpy_ma_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.stdout == "3 False\n"
+
+
+@given(st.lists(st.integers(0, 9), max_size=30))
+def test_sorted_unique_matches_np_unique(xs):
+    a = np.array(xs, dtype=np.int64)
+    got = _sorted_unique(a)
+    assert got.dtype == np.int64 and got.tolist() == np.unique(a).tolist()
 
 
 def _reference_height(f):

@@ -72,11 +72,15 @@ def test_fold_two_fixed_points_hand_example():
 def test_plan_apply_validates():
     A = Automaton([[1, 0], [0, 1]])
     good = RewiringPlan("phi", ((0, 0, 1, 0),))
-    assert good.apply(A).rows == ((0, 0), (0, 1))
-    with pytest.raises(ValueError):
-        RewiringPlan("phi", ((0, 0, 0, 1),)).apply(A)
-    with pytest.raises(ValueError):
-        RewiringPlan("phi", ((0, 0, 1, 0), (0, 0, 1, 1))).apply(A)
+    assert good.rewire(A.rows) == good.apply(A).rows == ((0, 0), (0, 1))
+    assert A.rows == ((1, 0), (0, 1))
+    mismatched = RewiringPlan("phi", ((0, 0, 0, 1),))
+    duplicate = RewiringPlan("phi", ((0, 0, 1, 0), (0, 0, 1, 1)))
+    for plan in (mismatched, duplicate):
+        with pytest.raises(ValueError):
+            plan.rewire(A.rows)
+        with pytest.raises(ValueError):
+            plan.apply(A)
 
 
 def test_plan_inverse_round_trip():
@@ -105,9 +109,9 @@ def test_fold_rejects_collisions():
         "len": 1,
     }
     # unchecked folding still rewires
-    y, plan = joyal._fold(A, cycle_minima(x, w), x.sigma, w)
+    plan = joyal._fold(A, cycle_minima(x, w), w)
     assert plan.direction == "phi"
-    assert is_w_tree(y.automaton, w)
+    assert is_w_tree(plan.apply(A), w)
 
 
 def test_fold_checks_threads_without_assert(monkeypatch):
@@ -402,10 +406,11 @@ def _pair_unfold_inputs(draw):
                                 min_size=2, max_size=2)))
     s1, s2 = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
     if draw(st.booleans()):
-        y1, _ = joyal._fold(A, cycle_minima(Labeled(A, s1), w1), s1, w1)
-        B = y1.automaton
-        y2, _ = joyal._fold(B, cycle_minima(Labeled(B, s2), w2), s2, w2)
-        return DoubleMarked(y2.automaton, y1.mark, y2.mark, s1, s2), w1, w2
+        rs1 = cycle_minima(Labeled(A, s1), w1)
+        B = joyal._fold(A, rs1, w1).apply(A)
+        rs2 = cycle_minima(Labeled(B, s2), w2)
+        C = joyal._fold(B, rs2, w2).apply(B)
+        return DoubleMarked(C, rs1.vertices[0], rs2.vertices[0], s1, s2), w1, w2
     marks = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     return DoubleMarked(A, *marks, s1, s2), w1, w2
 
@@ -475,7 +480,7 @@ def test_fold_chain_length_matches_map_statistics():
         A = random_automaton(n, 2, seed=seed)
         sigma = random_labeling(n, rng_from_seed(seed))
         rs = cycle_minima(Labeled(A, sigma), word)
-        _, plan = joyal._fold(A, rs, sigma, word)
+        plan = joyal._fold(A, rs, word)
         sizes.append(len(plan.edges))
         assert len(plan.edges) == rs.count
     mean = sum(sizes) / len(sizes)

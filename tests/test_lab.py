@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synchrotree import lab, records
+from synchrotree import core, lab, records
 from synchrotree.core import (
     Automaton,
     Word,
@@ -39,7 +39,7 @@ from synchrotree.lab import (
     run,
     save_automaton,
 )
-from synchrotree.joyal import fold_cycles, unfold_branch
+from synchrotree.joyal import RewiringPlan, fold_cycles, unfold_branch
 from synchrotree.records import (
     DoubleMarked,
     Labeled,
@@ -556,16 +556,31 @@ def test_audit_block_matches_reference():
 
 
 def test_audit_runs_each_map_once_per_input(monkeypatch):
-    calls = {"_fold": 0, "_unfold": 0, "_good_marked_tree": 0}
-    for name in calls:
-        def counted(*args, _real=getattr(lab, name), _name=name, **kw):
+    # one plan per fold and per unfold, each rewiring rows once
+    calls = {"_fold": 0, "_unfold": 0, "_good_marked_tree": 0, "rewire": 0}
+    for owner, name in ((lab, "_fold"), (lab, "_unfold"), (lab, "_good_marked_tree"),
+                        (RewiringPlan, "rewire")):
+        def counted(*args, _real=getattr(owner, name), _name=name, **kw):
             calls[_name] += 1
             return _real(*args, **kw)
-        monkeypatch.setattr(lab, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     rows = exp_bijection_audit(2, 3).rows
-    assert calls == {"_fold": sum(r[3] for r in rows),
-                     "_unfold": sum(r[4] for r in rows),
-                     "_good_marked_tree": 0}
+    folds, unfolds = sum(r[3] for r in rows), sum(r[4] for r in rows)
+    assert calls == {"_fold": folds, "_unfold": unfolds, "_good_marked_tree": 0,
+                     "rewire": folds + unfolds}
+
+
+def test_audit_builds_no_automaton_or_labeling_beyond_its_inputs(monkeypatch):
+    # the maps' images are keyed by rewired rows: the only automata are the
+    # 16 inputs of _all_automata(2), and no Labeled or MarkedLabeled is built
+    built = {"Automaton": 0, "Labeled": 0, "MarkedLabeled": 0}
+    for cls in (core.Automaton, Labeled, MarkedLabeled):
+        def counted(self, *args, _real=cls.__init__, _name=cls.__name__):
+            built[_name] += 1
+            _real(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    exp_bijection_audit(2, 3)
+    assert built == {"Automaton": 16, "Labeled": 0, "MarkedLabeled": 0}
 
 
 def test_audit_computes_cycles_once_per_automaton_and_word(monkeypatch):
@@ -582,39 +597,58 @@ def test_audit_computes_cycles_once_per_automaton_and_word(monkeypatch):
 
 
 def test_audit_scans_each_record_set_once_per_automaton_or_mark(monkeypatch):
-    # labelings of one automaton, or of one mark, that share a record set
-    # share its collision scan: 384 scans, where one per labeling made 608
+    # labelings and marks of one automaton that share a record set, cycle
+    # minima or branch records, share its collision scan: 272 scans, where
+    # one per automaton for the minima and one per mark for the branch
+    # records made 384, and one per labeling 608
     calls = []
     real = records._scan_collisions
     monkeypatch.setattr(records, "_scan_collisions",
                         lambda *a: calls.append(a) or real(*a))
     exp_bijection_audit(2, 3)
-    assert len(calls) == 384
+    assert len(calls) == 272
+
+
+def _audit_breaking_first_map(monkeypatch, name, broken):
+    # exp_bijection_audit(2, 2) with the first plan lab.<name> makes under
+    # ab replaced by broken(plan), which may raise
+    real, made = getattr(lab, name), []
+
+    def first_broken(*args):
+        plan = real(*args)
+        if args[-1] == Word("ab"):
+            made.append(plan)
+            if len(made) == 1:
+                return broken(plan)
+        return plan
+
+    with monkeypatch.context() as m:
+        m.setattr(lab, name, first_broken)
+        return exp_bijection_audit(2, 2)
 
 
 def test_audit_fails_both_trips_through_a_raising_map(monkeypatch):
     # a map that raises on one input fails that input's own trip and the
-    # other direction's trip that lands on it, and no other trip
-    w = Word("ab")
-    sigmas = list(permutations(range(2)))
-    autos = lab._all_automata(2)
-    x = next(Labeled(A, s) for A in autos for s in sigmas if is_cycle_good(Labeled(A, s), w))
-    y = next(MarkedLabeled(A, v, s) for A in autos for v in range(2) for s in sigmas
-             if is_good_marked_tree(MarkedLabeled(A, v, s), w))
-    # _fold takes (A, records, sigma, word) and _unfold (A, th, records,
-    # sigma, word), where th.start is (mark, 0)
-    real = {"_fold": lab._fold, "_unfold": lab._unfold}
-    for name, chosen in (("_fold", (x.automaton, x.sigma)),
-                         ("_unfold", (y.automaton, (y.mark, 0), y.sigma))):
-        def raising(A, *args, _real=real[name], _chosen=chosen):
-            *_, sigma, word = args
-            key = (A, sigma) if len(args) == 3 else (A, args[0].start, sigma)
-            if word == w and key == _chosen:
-                raise ValueError("injected")
-            return _real(A, *args)
-        with monkeypatch.context() as m:
-            m.setattr(lab, name, raising)
-            record = exp_bijection_audit(2, 2)
+    # other direction's trip that lands on it, and no other trip; each input
+    # is mapped once, so raising on one call raises on one input
+    def raising(plan):
+        raise ValueError("injected")
+
+    for name in ("_fold", "_unfold"):
+        record = _audit_breaking_first_map(monkeypatch, name, raising)
+        assert record.aggregates["total_failures"] == 2
+        assert [r[6] for r in record.rows if r[2] == "ab"] == [2]
+
+
+def test_audit_fails_both_trips_through_a_plan_off_the_automata(monkeypatch):
+    # a plan whose rewired table is no audited automaton, here through a
+    # target 2 at n = 2, fails the same two trips, and the lookup raises nothing
+    def stray(plan):
+        (src, letter, old, _), *rest = plan.edges
+        return RewiringPlan(plan.direction, ((src, letter, old, 2), *rest))
+
+    for name in ("_fold", "_unfold"):
+        record = _audit_breaking_first_map(monkeypatch, name, stray)
         assert record.aggregates["total_failures"] == 2
         assert [r[6] for r in record.rows if r[2] == "ab"] == [2]
 
@@ -676,21 +710,19 @@ def test_goodness_predicates_build_no_witness(monkeypatch):
 
 
 def test_audit_catches_a_broken_bijection(monkeypatch):
-    # the audit must compare what it round-trips, not only run it
-    real_unfold, real_fold = lab._unfold, lab._fold
+    # the audit must compare what it round-trips, not only run it: a map
+    # whose every edge lands on the other of the two states reaches another
+    # automaton
+    def shifted(real):
+        def broken(*args):
+            plan = real(*args)
+            return RewiringPlan(plan.direction, tuple(
+                (src, letter, old, 1 - new) for src, letter, old, new in plan.edges))
+        return broken
 
-    def relabeled_unfold(*args):
-        x, plan = real_unfold(*args)
-        return Labeled(x.automaton, x.sigma[1:] + x.sigma[:1]), plan
-
-    def shifted_fold(*args):
-        y, plan = real_fold(*args)
-        return MarkedLabeled(y.automaton, (y.mark + 1) % y.automaton.n, y.sigma), plan
-
-    for name, broken in (("_unfold", relabeled_unfold),
-                         ("_fold", shifted_fold)):
+    for name in ("_unfold", "_fold"):
         with monkeypatch.context() as m:
-            m.setattr(lab, name, broken)
+            m.setattr(lab, name, shifted(getattr(lab, name)))
             agg = exp_bijection_audit(2, 2).aggregates
         assert agg["total_failures"] == agg["total_round_trips"] == 176
 

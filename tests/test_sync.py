@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from itertools import islice
 
@@ -577,6 +579,22 @@ def test_greedy_none_iff_not_synchronizable():
     swap = Automaton([[1, 0], [1, 0]])
     assert not is_synchronizable(swap)
     assert greedy_fallback(swap) is None
+
+
+def test_tree_search_and_greedy_leave_numpy_ma_unloaded():
+    # np.unique would import numpy.ma, 1.25 MB resident that neither sync
+    # path otherwise loads; a fresh interpreter, as other tests import it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys; from synchrotree.core import random_automaton; "
+            "from synchrotree.sync import greedy_fallback, tree_sync_word; "
+            "print(tree_sync_word(random_automaton(300, seed=0)).verified, "
+            "greedy_fallback(random_automaton(40, seed=0)).verified, "
+            "'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.stdout == "True True False\n"
 
 
 def _reference_pair_tables(A):
