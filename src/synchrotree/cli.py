@@ -86,9 +86,11 @@ def _cmd_sync_exact(args):
     if word is None:
         print("not synchronizable", file=sys.stderr)
         return 1
+    sink = is_synchronizing(A, word)
+    if sink is None:
+        raise RuntimeError("exact word failed to reset")
     cert = SyncCertificate(
-        word=word, sink=is_synchronizing(A, word), method="exact",
-        verified=True,
+        word=word, sink=sink, method="exact", verified=True,
     )
     _emit(cert.to_json_dict(emit_word=True))
     return 0

@@ -71,6 +71,26 @@ def as_index(x, what):
     raise ValueError("%s must be integers" % what)
 
 
+def _read_index(x, n, noun, what=None):
+    """x as an int in range(n), the package's one reader of states, marks and
+    congruences: "states must be integers" (what defaults to noun + "s") or
+    "state out of range"."""
+    if type(x) is not int:  # a plain int skips a call: thread reads two per walk
+        x = as_index(x, what or noun + "s")
+    if not 0 <= x < n:
+        raise ValueError("%s out of range" % noun)
+    return x
+
+
+def _read_count(x, what):
+    """x as an int >= 0, the package's one reader of counts: "budget must
+    be integers" or "budget must be >= 0"."""
+    x = as_index(x, what)
+    if x < 0:
+        raise ValueError("%s must be >= 0" % what)
+    return x
+
+
 def is_finite_number(x):
     """True for a finite real number other than a bool. An int past float
     range is refused, where math.isfinite raises OverflowError."""
@@ -127,7 +147,7 @@ class Word:
         return Word(self.letters[m:] + self.letters[:m])
 
     def repeat(self, times):
-        return Word(self.letters * int(times))
+        return Word(self.letters * _read_count(times, "times"))
 
 
 def _proper_divisors(k):
@@ -188,6 +208,8 @@ def count_nc_words(k, r=2):
 
 def random_nc_word(k, r, rng):
     """Uniform draw from the non-self-conjugate words of length k."""
+    if r < 2 and k > 1:  # on one letter every longer word is a power
+        raise ValueError("no non-self-conjugate word of length %d on %d letter" % (k, r))
     while True:
         w = Word(rng.integers(0, r, size=k).tolist())
         if not is_self_conjugate(w):
@@ -329,9 +351,7 @@ def _check_word(A, word):
 def apply_word(A, state, word):
     """The image of one state under the word, read left to right."""
     _check_word(A, word)
-    state = as_index(state, "states")
-    if not 0 <= state < A.n:
-        raise ValueError("state out of range")
+    state = _read_index(state, A.n, "state")
     rows = A.rows
     for l in word.letters:
         state = rows[l][state]
@@ -394,12 +414,8 @@ def thread(A, u, r, word):
     """
     _check_word(A, word)
     k = len(word)
-    u = as_index(u, "states")
-    if not 0 <= u < A.n:
-        raise ValueError("state out of range")
-    r = as_index(r, "congruences")
-    if not 0 <= r < k:
-        raise ValueError("congruence out of range")
+    u = _read_index(u, A.n, "state")
+    r = _read_index(r, k, "congruence")
     rows = A.rows
     letters = word.letters
     seen = {}

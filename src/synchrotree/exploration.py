@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import or_
 
-from .core import Word, as_index, thread
+from .core import Word, _check_word, _read_count, _read_index, as_index, thread
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,7 @@ class InputSpec:
         for u, r, w in entries:
             if len(w) != k:
                 raise ValueError("all words must have the same length")
-            if not 0 <= r < k:
-                raise ValueError("congruence out of range")
+            _read_index(r, k, "congruence", what)
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -114,10 +113,8 @@ def explore(A, spec):
     word_index = {}
     entry_ids = []
     for u, r, w in spec.entries:
-        if not 0 <= u < A.n:
-            raise ValueError("entry state out of range")
-        if max(w.letters) >= A.r:
-            raise ValueError("entry word uses letter outside the alphabet")
+        _read_index(u, A.n, "entry state")
+        _check_word(A, w)
         if w not in word_index:
             word_index[w] = len(words)
             words.append(w)
@@ -190,7 +187,7 @@ def _revealed_graph(trace, t=None):
     # the revealed vertices at prefix t, numbered in order of appearance, and
     # one (src, dst) pair of numbers per labeled slot, so doubled slots repeat
     if t is not None:
-        _whole(t, "radius and t")
+        _read_count(t, "radius and t")
     number = {}
     edges = [(number.setdefault(src, len(number)), number.setdefault(dst, len(number)))
              for (src, _), dst in trace.revealed_map(t).items()]
@@ -236,13 +233,6 @@ def _bits(mask):
         mask ^= low
 
 
-def _whole(x, what):
-    x = as_index(x, what)
-    if x < 0:
-        raise ValueError("%s must be >= 0" % what)
-    return x
-
-
 def ball(trace, u, radius, direction="both", t=None):
     """Vertices within the radius of u in the revealed graph at prefix t.
 
@@ -253,10 +243,8 @@ def ball(trace, u, radius, direction="both", t=None):
     """
     if direction not in ("in", "out", "both"):
         raise ValueError("direction must be in, out, or both")
-    u = as_index(u, "states")
-    if not 0 <= u < trace.n:
-        raise ValueError("state out of range")
-    radius = _whole(radius, "radius and t")
+    u = _read_index(u, trace.n, "state")
+    radius = _read_count(radius, "radius and t")
     verts, edges = _revealed_graph(trace, t)
     if u not in verts:
         return frozenset({u})
@@ -363,7 +351,7 @@ def path_exception_count(trace, radius=None, t=None):
     """How many revealed vertices have a combined ball, the union of the
     out- and in-ball at the radius (k by default), that is not a directed
     path at prefix t; radius and t must be whole numbers >= 0."""
-    radius = trace.k if radius is None else _whole(radius, "radius and t")
+    radius = trace.k if radius is None else _read_count(radius, "radius and t")
     verts, edges = _revealed_graph(trace, t)
     outs = [[] for _ in verts]
     ins = [[] for _ in verts]

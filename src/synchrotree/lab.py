@@ -150,6 +150,9 @@ def config_from_json(doc):
         key = _RULE_KEYS.get(kr["type"]) if isinstance(kr["type"], str) else None
         if key is None:
             raise ValueError("k_rule.type: expected explicit, log2, or ln")
+        for name in kr:
+            if name not in ("type", key):
+                raise ValueError("k_rule.%s: unknown key" % (name,))
         if key not in kr:
             raise ValueError("k_rule.%s: missing" % key)
         args["k_rule"] = (kr["type"], kr[key])
@@ -414,8 +417,6 @@ def run(config, workers=None):
         jobs = []
         for si, n in enumerate(config.sizes):
             k = resolve_k(config.k_rule, n)
-            if config.experiment == "tree_probability":
-                k = len(_word_of(config.word))
             for trial in range(config.trials):
                 index = si * config.trials + trial
                 jobs.append((config, n, k, trial, trial_seed(config.seed, index)))

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (
+    _read_index,
     apply_word_all,
     are_conjugate,
     as_index,
@@ -38,11 +39,15 @@ def _check_sigma(sigma, n):
     return sigma
 
 
-def _check_mark(mark, n):
-    mark = as_index(mark, "marks")
-    if not 0 <= mark < n:
-        raise ValueError("mark out of range")
-    return mark
+def _check_fields(self):
+    # the labeled structures' one field check: each mark is read as a state
+    # and each labeling as a permutation of the states, in field order
+    n = self.automaton.n
+    for name, value in tuple(vars(self).items()):
+        if name.startswith("mark"):
+            object.__setattr__(self, name, _read_index(value, n, "mark"))
+        elif name.startswith("sigma"):
+            object.__setattr__(self, name, _check_sigma(value, n))
 
 
 def random_labeling(n, rng):
@@ -56,8 +61,7 @@ class Labeled:
     automaton: object
     sigma: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", _check_sigma(self.sigma, self.automaton.n))
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -68,9 +72,7 @@ class MarkedLabeled:
     mark: int
     sigma: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "mark", _check_mark(self.mark, self.automaton.n))
-        object.__setattr__(self, "sigma", _check_sigma(self.sigma, self.automaton.n))
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -83,12 +85,7 @@ class DoubleMarked:
     sigma1: tuple
     sigma2: tuple
 
-    def __post_init__(self):
-        n = self.automaton.n
-        object.__setattr__(self, "mark1", _check_mark(self.mark1, n))
-        object.__setattr__(self, "mark2", _check_mark(self.mark2, n))
-        object.__setattr__(self, "sigma1", _check_sigma(self.sigma1, n))
-        object.__setattr__(self, "sigma2", _check_sigma(self.sigma2, n))
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -97,10 +94,7 @@ class DoubleLabeled:
     sigma1: tuple
     sigma2: tuple
 
-    def __post_init__(self):
-        n = self.automaton.n
-        object.__setattr__(self, "sigma1", _check_sigma(self.sigma1, n))
-        object.__setattr__(self, "sigma2", _check_sigma(self.sigma2, n))
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)

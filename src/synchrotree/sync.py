@@ -29,8 +29,8 @@ from .core import (
     Automaton,
     Word,
     _sorted_unique,
+    _read_count,
     apply_word_all,
-    as_index,
     height,
     is_finite_number,
     loop_root,
@@ -273,9 +273,7 @@ def iter_tree_words(A, k, budget=None):
     if k < 1:
         raise ValueError("word length must be positive")
     if budget is not None:
-        budget = as_index(budget, "budget")
-        if budget < 0:
-            raise ValueError("budget must be >= 0")
+        budget = _read_count(budget, "budget")
     return _tree_words(A, k, _word_batches(A.r, k, budget))
 
 

@@ -108,6 +108,16 @@ def test_sync_exact_cli(tmp_path, capsys):
     assert rc == 2 and "capped" in err
 
 
+def test_sync_exact_checks_its_sink(tmp_path, capsys, monkeypatch):
+    # a word that fails to reset is no certificate: the exact path raises,
+    # as the tree and greedy paths do, instead of stamping it verified
+    path = _write(tmp_path, "a3.json", A3)
+    monkeypatch.setattr(cli, "shortest_sync_word_exact", lambda A: Word("a"))
+    with pytest.raises(RuntimeError, match="exact word failed to reset"):
+        main(["sync-exact", "--in", path])
+    assert capsys.readouterr().out == ""
+
+
 def test_tree_words_cli(tmp_path, capsys):
     path = _write(tmp_path, "a3.json", A3)
     rc, out, _ = _run(capsys, ["tree-words", "--in", path, "--k", "2"])
@@ -334,6 +344,8 @@ def test_missing_and_malformed_files(tmp_path, capsys):
                              ("scaling", "k_rule", {"type": "explicit", "value": 5}),
                              ("scaling", "k_rule", {"type": "ln", "factor": 1.0}),
                              ("height", "k_rule", {"type": ["log2"], "epsilon": 1}),
+                             # a k_rule holds its type and that type's value key only
+                             ("height", "k_rule", {"type": "ln", "factor": 1.0, "value": 9}),
                              # no size, or a size twice, would pass or pool vacuously
                              *((name, "sizes", []) for name in
                                ("tree_probability", "goodness", "scaling", "height",

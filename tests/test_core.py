@@ -62,6 +62,18 @@ def test_word_basics():
     assert Word(np.array([1, 0])) == Word("ba")
 
 
+def test_repeat_takes_only_whole_counts():
+    # int() would truncate 2.5 to 2 and read True as 1
+    for times, message in ((2.5, "times must be integers"),
+                           (True, "times must be integers"),
+                           (-1, "times must be >= 0")):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            AB.repeat(times)
+    assert AB.repeat(np.int64(3)) == Word("ababab")
+    with pytest.raises(ValueError, match="^a word needs at least one letter$"):
+        AB.repeat(0)
+
+
 @given(
     st.integers(2, 12).flatmap(
         lambda r: st.tuples(
@@ -130,6 +142,28 @@ def test_random_nc_word_is_never_self_conjugate():
         w = random_nc_word(6, 2, rng)
         assert not is_self_conjugate(w)
         assert len(w) == 6
+
+
+def test_random_nc_word_refuses_lengths_with_no_such_word():
+    # on one letter every word longer than 1 is a power, so a draw would
+    # loop forever; run in a fresh interpreter so that a regression fails
+    # on the timeout instead of hanging the suite
+    src = pathlib.Path(__file__).parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    code = ("from synchrotree.core import random_nc_word, rng_from_seed\n"
+            "for k, r in ((2, 1), (5, 1)):\n"
+            "    try:\n"
+            "        random_nc_word(k, r, rng_from_seed(0))\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+            "print(random_nc_word(1, 1, rng_from_seed(0)).text)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.stdout == (
+        "no non-self-conjugate word of length 2 on 1 letter\n"
+        "no non-self-conjugate word of length 5 on 1 letter\n"
+        "a\n")
 
 
 def test_automaton_validation():
@@ -223,13 +257,15 @@ def test_apply_word():
     assert apply_word_all(A3, AB).tolist() == [0, 0, 0]
     with pytest.raises(TypeError):
         apply_word_all(A3, AB, states=[0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^state out of range$"):
         apply_word(A3, 3, AB)
+    with pytest.raises(ValueError, match="^state out of range$"):
+        apply_word(A3, -1, AB)
     with pytest.raises(ValueError):
         apply_word(A3, 0, Word((2,)))
     assert apply_word(A3, np.int64(2), Word("b")) == 0
     for state in (True, 2.0, "1"):
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="^states must be integers$"):
             apply_word(A3, state, AB)
 
 
@@ -247,8 +283,16 @@ def test_thread_a3():
 
 def test_thread_takes_only_integer_states_and_congruences():
     assert thread(A3, np.int64(2), np.int32(1), AB).start == (2, 1)
-    for u, r in ((True, 0), (0, True), (2.0, 0), (0, 1.0), ("0", 0)):
-        with pytest.raises(ValueError, match="integers"):
+    for u, r, message in ((True, 0, "states must be integers"),
+                          (0, True, "congruences must be integers"),
+                          (2.0, 0, "states must be integers"),
+                          (0, 1.0, "congruences must be integers"),
+                          ("0", 0, "states must be integers"),
+                          (3, 0, "state out of range"),
+                          (-1, 0, "state out of range"),
+                          (0, 2, "congruence out of range"),
+                          (0, -1, "congruence out of range")):
+        with pytest.raises(ValueError, match="^%s$" % message):
             thread(A3, u, r, AB)
 
 

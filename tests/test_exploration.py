@@ -111,13 +111,22 @@ def test_ball_directions_and_prefixes():
     with pytest.raises(ValueError):
         ball(tr, 0, 1, "sideways")
     # states must be in range(n), radius and t whole numbers >= 0
-    for u, radius, t in ((10 ** 9, 1, None), (-3, 2, None), (3, 0, None),
-                         (True, 1, None), (0, 1.5, None), (0, -1, None),
-                         (0, 1, -1), (0, 1, 1.0)):
-        with pytest.raises(ValueError):
+    for u, radius, t, message in ((10 ** 9, 1, None, "state out of range"),
+                                  (-3, 2, None, "state out of range"),
+                                  (3, 0, None, "state out of range"),
+                                  (True, 1, None, "states must be integers"),
+                                  (0, 1.5, None, "radius and t must be integers"),
+                                  (0, -1, None, "radius and t must be >= 0"),
+                                  (0, 1, -1, "radius and t must be >= 0"),
+                                  (0, 1, 1.0, "radius and t must be integers")):
+        with pytest.raises(ValueError, match="^%s$" % message):
             ball(tr, u, radius, t=t)
-    for radius, t in ((-1, None), (1.5, None), (None, -1), (None, 0.5), (False, None)):
-        with pytest.raises(ValueError):
+    for radius, t, message in ((-1, None, "radius and t must be >= 0"),
+                               (1.5, None, "radius and t must be integers"),
+                               (None, -1, "radius and t must be >= 0"),
+                               (None, 0.5, "radius and t must be integers"),
+                               (False, None, "radius and t must be integers")):
+        with pytest.raises(ValueError, match="^%s$" % message):
             path_exception_count(tr, radius, t)
 
 
@@ -327,20 +336,22 @@ def test_typicality_ball_and_path_checks_run_at_scale(automaton_4e6, seed, expec
 
 
 def test_input_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least one entry$"):
         InputSpec(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^all words must have the same length$"):
         InputSpec(((0, 0, Word("ab")), (0, 0, Word("aab"))))
-    with pytest.raises(ValueError):
-        InputSpec(((0, 2, Word("ab")),))
+    for r in (2, -1):
+        with pytest.raises(ValueError, match="^congruence out of range$"):
+            InputSpec(((0, r, Word("ab")),))
     for u, r in ((0.9, 1.2), (0, 1.0), ("1", 0), (True, 0), (0, False)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^entry state and congruence must be integers$"):
             InputSpec(((u, r, Word("ab")),))
     assert InputSpec(((np.int64(1), 1, Word("ab")),)).entries == ((1, 1, Word("ab")),)
-    spec = InputSpec(((5, 0, Word("ab")),))
-    with pytest.raises(ValueError):
-        explore(A3, spec)
-    with pytest.raises(ValueError):
+    for u in (3, 5, -1):
+        with pytest.raises(ValueError, match="^entry state out of range$"):
+            explore(A3, InputSpec(((u, 0, Word("ab")),)))
+    # entry words are checked against the alphabet as every word is, in core
+    with pytest.raises(ValueError, match="^word uses letter outside the alphabet$"):
         explore(A3, InputSpec(((0, 0, Word((0, 2))),)))
     # checked before the lengths, so a word with no length gives the same
     # error, in any entry

@@ -92,6 +92,10 @@ def test_config_validation_messages():
         config_from_json(
             {"experiment": "goodness", "sizes": [4], "k_rule": {"type": "ln"}}
         )
+    # a k_rule holds its type and that type's value key, nothing else
+    with pytest.raises(ValueError, match="^k_rule.value: unknown key$"):
+        config_from_json({"experiment": "goodness", "sizes": [4],
+                          "k_rule": {"type": "ln", "factor": 1.0, "value": 9}})
     for value in (0, -1, 2.5, float("nan"), None, "three"):
         with pytest.raises(ValueError, match="k_rule"):
             ExperimentConfig(
@@ -351,12 +355,12 @@ def test_csv_bytes_frozen(tmp_path, cfg, digest):
 
 
 def test_tree_probability_parses_its_word_once():
-    # one parse; run's k per size and every row read the cached Word
+    # one parse; every row reads the cached Word, and run reads none
     lab._word_of.cache_clear()
     run(ExperimentConfig(experiment="tree_probability", sizes=(6, 8), trials=20,
                          word="aab", k_rule=("explicit", 3)))
     info = lab._word_of.cache_info()
-    assert (info.misses, info.hits) == (1, 2 + 40 - 1)
+    assert (info.misses, info.hits) == (1, 40 - 1)
 
 
 def test_single_trial_runs():

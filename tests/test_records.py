@@ -448,10 +448,20 @@ def test_labeling_validation():
         Labeled(A3, (0, 1))
     with pytest.raises(ValueError):
         Labeled(A3, (0, 1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mark out of range$"):
         MarkedLabeled(A3, 3, ID3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mark out of range$"):
         DoubleMarked(A3, 0, -1, ID3, ID3)
+    # the fields are checked in order: marks first, then the labelings
+    for cls, args, message in (
+            (MarkedLabeled, (A3, 3, (0, 0, 0)), "mark out of range"),
+            (DoubleMarked, (A3, 0, 1.5, (0,), ID3), "marks must be integers"),
+            (DoubleMarked, (A3, 0, 2, (0,), ID3), "sigma must be a permutation of the states"),
+            (DoubleMarked, (A3, 0, 2, ID3, 5), "sigma must hold integer labels"),
+            (DoubleLabeled, (A3, ID3, (0, 1, 3)), "sigma must be a permutation of the states"),
+            (Labeled, (A3, (0, 1, True)), "sigma labels must be integers")):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            cls(*args)
 
 
 @settings(max_examples=200, deadline=None)

@@ -55,6 +55,20 @@ def test_all_lists_every_public_name():
     assert len({id(value) for value in exported}) == len(exported)
 
 
+def test_range_and_count_refusals_live_in_core():
+    # states, marks, congruences and counts are read by core's readers, so
+    # no other module spells out a range or count refusal of its own
+    assert SOURCES
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in SOURCES if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and ("out of range" in node.value or "must be >= 0" in node.value)
+    ]
+    assert found == []
+
+
 def test_every_imported_name_is_read():
     # a module reads each name it imports; __init__.py imports to re-export
     assert SOURCES

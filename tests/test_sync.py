@@ -77,10 +77,11 @@ def test_find_tree_word_validation():
     with pytest.raises(ValueError):
         find_tree_word(A3, 0)
     # budgets are whole numbers >= 0, checked before any word is examined
-    for budget in (-1, 2.5, "3", True):
-        with pytest.raises(ValueError):
+    for budget, message in ((-1, "budget must be >= 0"), (2.5, "budget must be integers"),
+                            ("3", "budget must be integers"), (True, "budget must be integers")):
+        with pytest.raises(ValueError, match="^%s$" % message):
             iter_tree_words(A3, 2, budget=budget)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^%s$" % message):
             tree_sync_word(A3, budget=budget)
     assert find_tree_word(A3, 2, np.int64(0)) is None
     # the search has one order and no other knobs
