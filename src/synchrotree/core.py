@@ -71,12 +71,11 @@ def as_index(x, what):
     raise ValueError("%s must be integers" % what)
 
 
-def _read_index(x, n, noun, what=None):
+def _read_index(x, n, noun):
     """x as an int in range(n), the package's one reader of states, marks and
-    congruences: "states must be integers" (what defaults to noun + "s") or
-    "state out of range"."""
+    congruences: "states must be integers" or "state out of range"."""
     if type(x) is not int:  # a plain int skips a call: thread reads two per walk
-        x = as_index(x, what or noun + "s")
+        x = as_index(x, noun + "s")
     if not 0 <= x < n:
         raise ValueError("%s out of range" % noun)
     return x

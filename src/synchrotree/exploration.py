@@ -40,7 +40,7 @@ class InputSpec:
         for u, r, w in entries:
             if len(w) != k:
                 raise ValueError("all words must have the same length")
-            _read_index(r, k, "congruence", what)
+            _read_index(r, k, "congruence")
         object.__setattr__(self, "entries", entries)
 
     @property

@@ -40,8 +40,8 @@ def _check_sigma(sigma, n):
 
 
 def _check_fields(self):
-    # the labeled structures' one field check: each mark is read as a state
-    # and each labeling as a permutation of the states, in field order
+    # the labeled structures' one field check, by field name: each mark* is
+    # read as a state and each sigma* as a permutation, in field order
     n = self.automaton.n
     for name, value in tuple(vars(self).items()):
         if name.startswith("mark"):

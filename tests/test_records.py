@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -462,6 +464,15 @@ def test_labeling_validation():
             (Labeled, (A3, (0, 1, True)), "sigma labels must be integers")):
         with pytest.raises(ValueError, match="^%s$" % message):
             cls(*args)
+
+
+def test_labeled_fields_follow_the_check_prefixes():
+    # _check_fields picks its check by field name prefix, so a later field
+    # such as marker or sigma_cache would be checked as a state or labeling
+    for cls in (Labeled, MarkedLabeled, DoubleMarked, DoubleLabeled):
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert names[0] == "automaton"
+        assert all(re.fullmatch(r"(mark|sigma)[12]?", name) for name in names[1:]), cls
 
 
 @settings(max_examples=200, deadline=None)
