@@ -19,9 +19,8 @@ from .core import (
 from .exploration import InputSpec, dump_lines, explore
 from .lab import config_from_json, exp_bijection_audit, run, save_automaton
 from .sync import (
-    SyncCertificate,
+    _certificate,
     greedy_fallback,
-    is_synchronizing,
     iter_tree_words,
     pick_tree_length,
     shortest_sync_word_exact,
@@ -86,13 +85,7 @@ def _cmd_sync_exact(args):
     if word is None:
         print("not synchronizable", file=sys.stderr)
         return 1
-    sink = is_synchronizing(A, word)
-    if sink is None:
-        raise RuntimeError("exact word failed to reset")
-    cert = SyncCertificate(
-        word=word, sink=sink, method="exact", verified=True,
-    )
-    _emit(cert.to_json_dict(emit_word=True))
+    _emit(_certificate(A, word, 1, "exact").to_json_dict(emit_word=True))
     return 0
 
 
@@ -222,7 +215,8 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (_CliError, SchemaError, ValueError, OSError, OverflowError,
-            MemoryError) as exc:
+            MemoryError, RuntimeError) as exc:
+        # RuntimeError: a result that failed its own check
         print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 2
 

@@ -451,22 +451,12 @@ def recompute_aggregates(record):
     return EXPERIMENTS[cfg.experiment].aggregate(cfg, record.rows)
 
 
-def _cell(x):
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, float):
-        return "%.17g" % x
-    return str(x)
-
-
 def write_record_csv(record, path):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\r\n")
         writer.writerow(record.columns)
-        for row in record.rows:
-            writer.writerow([_cell(x) for x in row])
+        # rows hold ints, None (a failed trial, written "") and word text
+        writer.writerows(record.rows)
     sidecar = os.path.splitext(path)[0] + ".config.json"
     with open(sidecar, "w") as f:
         json.dump(record.config.to_json_dict(), f, indent=1, sort_keys=True)

@@ -262,19 +262,14 @@ def _scan_collisions(A, word, source_index, targets):
 
 
 def _witness(A, words, arrival):
-    # the arrival as a CollisionWitness, re-walking the thread for its path
-    # under the word h of its triple (i, h, j)
+    # the arrival as a CollisionWitness, its path the thread's first time+1
+    # entries under the word h of its triple (i, h, j): the scan stops a
+    # thread at its first repeated pair, so an arrival lies before the cut
     if arrival is None:
         return None
     ihj, p, q, v, r, s, time = arrival
-    word = words[ihj[1] - 1]
-    path = [(v, r)]
-    u, c = v, r
-    for _ in range(time):
-        u = A.rows[word.letters[c]][u]
-        c = c + 1 if c + 1 < len(word) else 0
-        path.append((u, c))
-    return CollisionWitness(ihj, p, q, r, s, tuple(path))
+    path = thread(A, v, r, words[ihj[1] - 1]).entries[:time + 1]
+    return CollisionWitness(ihj, p, q, r, s, path)
 
 
 def _arrival_on(A, word, vertices):

@@ -66,6 +66,27 @@ class SyncCertificate:
         return doc
 
 
+def _certificate(A, word, times, method, **fields):
+    """The verified certificate for word repeated times, else RuntimeError.
+
+    word's map comes from apply_word_all, so that the check does not rest
+    on a search's own tables, and is raised to the power times by
+    squaring, about 2*log2(times) gathers.
+    """
+    f = apply_word_all(A, word)
+    images = np.arange(A.n, dtype=np.int64)
+    for bit in range(times.bit_length()):
+        if bit:
+            f = f[f]
+        if times >> bit & 1:
+            images = f[images]
+    sink = int(images[0])
+    if not (images == sink).all():
+        raise RuntimeError("%s word failed to reset" % method)
+    return SyncCertificate(word=word.repeat(times), sink=sink, method=method,
+                           verified=True, **fields)
+
+
 def is_synchronizing(A, word):
     """The common image state if the word resets A, else None."""
     images = apply_word_all(A, word)
@@ -304,22 +325,10 @@ def tree_sync_word(A, epsilon=0.2, budget=None):
     found = find_tree_word(A, k, budget)
     if found is None:
         return None
-    w, H, root = found
-    # w's map to the power H by squaring, about 2*log2(H) gathers, from
-    # apply_word_all so that the check does not rest on the search's table
-    f = apply_word_all(A, w)
-    images = np.arange(A.n, dtype=np.int64)
-    for bit in range(H.bit_length()):
-        if bit:
-            f = f[f]
-        if H >> bit & 1:
-            images = f[images]
-    if not (images == root).all():
-        raise RuntimeError("tree word repeated height times failed to reset")
-    return SyncCertificate(
-        word=w.repeat(H), sink=root, method="tree", tree_word=w, height=H,
-        verified=True,
-    )
+    w, H, _ = found
+    # the sink is read off the checked images; it is the search's root,
+    # w's one fixed point
+    return _certificate(A, w, H, "tree", tree_word=w, height=H)
 
 
 def _pair_merge_tables(A):
@@ -386,11 +395,6 @@ def greedy_fallback(A):
     not synchronizable.
     """
     n = A.n
-    if n == 1:
-        # empty words are not representable; one letter resets one state
-        return SyncCertificate(
-            word=Word((0,)), sink=0, method="greedy", verified=True,
-        )
     dist, step = _pair_merge_tables(A)
     if np.count_nonzero(dist >= 0) < n * (n + 1) // 2:
         return None
@@ -408,13 +412,12 @@ def greedy_fallback(A):
             letters.append(l)
             current = _sorted_unique(A.delta[l][current])
             p, q = sorted((rows[l][p], rows[l][q]))
-    word = Word(letters)
-    sink = is_synchronizing(A, word)
-    if sink is None or current.tolist() != [sink]:
+    # one state needs no merge, and one letter resets it: empty words are
+    # not representable
+    cert = _certificate(A, Word(letters or [0]), 1, "greedy")
+    if current.tolist() != [cert.sink]:
         raise RuntimeError("greedy word failed to reset")
-    return SyncCertificate(
-        word=word, sink=sink, method="greedy", verified=True,
-    )
+    return cert
 
 
 def shortest_sync_word_exact(A):

@@ -6,11 +6,11 @@ import sys
 
 import pytest
 
-from synchrotree import cli
+from synchrotree import cli, sync
 from synchrotree.cli import main
-from synchrotree.core import Automaton, Word
+from synchrotree.core import Automaton, Word, random_automaton
 from synchrotree.lab import save_automaton
-from synchrotree.sync import cerny_automaton
+from synchrotree.sync import cerny_automaton, find_tree_word, pick_tree_length
 
 A3 = Automaton([[1, 2, 0], [0, 0, 0]])
 
@@ -109,13 +109,24 @@ def test_sync_exact_cli(tmp_path, capsys):
 
 
 def test_sync_exact_checks_its_sink(tmp_path, capsys, monkeypatch):
-    # a word that fails to reset is no certificate: the exact path raises,
-    # as the tree and greedy paths do, instead of stamping it verified
+    # a word that fails to reset is no certificate: the exact path's check
+    # fails, as the tree and greedy paths' do, and exits 2 with one line
     path = _write(tmp_path, "a3.json", A3)
     monkeypatch.setattr(cli, "shortest_sync_word_exact", lambda A: Word("a"))
-    with pytest.raises(RuntimeError, match="exact word failed to reset"):
-        main(["sync-exact", "--in", path])
-    assert capsys.readouterr().out == ""
+    rc, out, err = _run(capsys, ["sync-exact", "--in", path])
+    assert (rc, out, err) == (2, "", "error: exact word failed to reset\n")
+
+
+def test_sync_failed_tree_check_exits_2(tmp_path, capsys, monkeypatch):
+    # a tree word one power short of its height does not reset: an error
+    # line and exit 2, not a traceback
+    A = random_automaton(64, seed=0)
+    w, H, root = find_tree_word(A, pick_tree_length(A.n))
+    assert H >= 2
+    monkeypatch.setattr(sync, "find_tree_word", lambda *a, **kw: (w, H - 1, root))
+    path = _write(tmp_path, "a.json", A)
+    rc, out, err = _run(capsys, ["sync", "--in", path])
+    assert (rc, out, err) == (2, "", "error: tree word failed to reset\n")
 
 
 def test_tree_words_cli(tmp_path, capsys):

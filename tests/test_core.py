@@ -75,7 +75,7 @@ def test_repeat_takes_only_whole_counts():
 
 
 @given(
-    st.integers(2, 12).flatmap(
+    st.integers(2, 40).flatmap(
         lambda r: st.tuples(
             st.just(r), st.lists(st.integers(0, r - 1), min_size=1, max_size=8)
         )
@@ -91,6 +91,7 @@ def test_word_accepts_only_canonical_text():
     assert Word("10") == Word((10,))
     assert Word("0,2,1") == Word((0, 2, 1))
     assert Word("0") == Word((0,))
+    assert Word((0, 27)).text == "0,27"
     for text in ("01", "0101", "", ",1", "1,", "1,,2", "+1", " 1", "1_0",
                  "a1", "AB", "\u00b2", "0,01"):
         with pytest.raises(ValueError):

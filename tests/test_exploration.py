@@ -247,6 +247,52 @@ def test_ball_growth_flags_a_fast_growing_in_ball():
     assert not _reference_check_ball_growth(tr)
 
 
+def _hand_trace(A, entries, events, boundaries, explores, hits):
+    # a trace no exploration makes, for the claim checks to refuse; they
+    # read no closings and no revealed map
+    spec = InputSpec(entries)
+    words = tuple(dict.fromkeys(w for _, _, w in entries))
+    word_ids = tuple(words.index(w) for _, _, w in entries)
+    return ExplorationTrace(A, spec, words, word_ids, events, boundaries,
+                            explores, hits, (), {})
+
+
+def test_equi_flags_an_uneven_word():
+    # one thread, so d = 1, at congruence 0 twice and 1 never
+    tr = _hand_trace(A3, ((0, 0, AB),), [(0, 0, 0), (1, 0, 0)], (0, 2),
+                     [True, True], [False, False])
+    assert not check_equi(tr)
+
+
+def test_degree_sums_flag_a_third_out_edge():
+    # state 0 leaves by a, b and c to three states: with one hit the bound
+    # is 2, which the second out-edge meets and the third passes
+    A = Automaton([[1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 0]])
+    events = [(0, 0, 0), (0, 1, 0), (0, 2, 0)]
+    tr = _hand_trace(A, ((0, 0, Word("abc")),), events, (0, 3),
+                     [True] * 3, [True, False, False])
+    assert not check_degree_sums(tr)
+    tr.step_hits[1] = True
+    assert check_degree_sums(tr)
+
+
+def test_following_counts_flag_a_follow_before_any_hit():
+    # with no hit the bound is 0, which one following step passes
+    tr = _hand_trace(A3, ((0, 0, AB),), [(0, 0, 0)], (0, 1), [False], [False])
+    assert not check_following_counts(tr)
+
+
+def test_trajectory_overlaps_flag_two_words_on_one_path():
+    # ab from congruence 0 and ba from congruence 1 both read a then b,
+    # so the two threads share k = 2 edges under different words
+    A = Automaton([[1, 1], [0, 0]])
+    events = [(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
+    tr = _hand_trace(A, ((0, 0, AB), (0, 1, Word("ba"))), events, (0, 2, 4),
+                     [True] * 4, [False] * 4)
+    assert thread_edge_runs(tr) == [[(0, 0, 1), (1, 1, 0)]] * 2
+    assert not check_trajectory_overlaps(tr)
+
+
 def test_path_exception_count_small():
     # the two revealed edges close a directed 2-cycle, so both endpoints
     # fail the path condition

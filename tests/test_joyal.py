@@ -147,7 +147,8 @@ def test_unfold_rejects_bad_inputs():
 def test_checked_maps_build_their_record_set_once(monkeypatch):
     # the entry check scans the record set the rewiring reads: a checked
     # fold computes cycle_minima once and a checked unfold walks the marked
-    # thread once, and a failed check raises the collision functions' witness
+    # thread once, and a failed check raises the collision functions' witness,
+    # whose path is one more thread call
     w = Word("ab")
     x = Labeled(random_automaton(4, 2, seed=1), (0, 1, 2, 3))
     y = MarkedLabeled(Automaton([[1, 2, 0], [0, 0, 0]]), 2, (0, 1, 2))
@@ -164,7 +165,7 @@ def test_checked_maps_build_their_record_set_once(monkeypatch):
         with pytest.raises(CollisionError) as info:
             run(z, w)
         assert info.value.witness == want[direction]
-        assert calls == (["cycle_minima"] if direction == "fold" else ["thread"])
+        assert calls == ["cycle_minima" if direction == "fold" else "thread", "thread"]
     calls.clear()
     unfold_branch(fold_cycles(Labeled(x.automaton, (3, 2, 1, 0)), WA)[0], WA)
     assert calls == ["cycle_minima"] + ["thread"] * 2

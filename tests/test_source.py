@@ -69,6 +69,31 @@ def test_range_and_count_refusals_live_in_core():
     assert found == []
 
 
+def _calls(tree, name):
+    # the nodes of tree's calls of name, bare or as a module attribute
+    return {node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+
+
+def test_certificates_are_built_only_by_the_one_check():
+    # every SyncCertificate comes out of sync._certificate, so no result
+    # can be stamped verified by a check of its own
+    assert SOURCES
+    found = []
+    built = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls = _calls(tree, "SyncCertificate")
+        if path.name == "sync.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "_certificate":
+                    built = _calls(node, "SyncCertificate")
+            calls -= built
+        found += ["%s:%d" % (path.name, node.lineno) for node in calls]
+    assert sorted(found) == []
+    assert built
+
+
 def test_every_imported_name_is_read():
     # a module reads each name it imports; __init__.py imports to re-export
     assert SOURCES

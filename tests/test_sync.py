@@ -511,8 +511,8 @@ def test_certificates_are_checked_without_assert(monkeypatch):
     monkeypatch.setattr(sync, "find_tree_word", lambda *a, **kw: (w, H - 1, root))
     with pytest.raises(RuntimeError):
         tree_sync_word(A)
-    monkeypatch.setattr(sync, "is_synchronizing", lambda A, word: None)
-    with pytest.raises(RuntimeError):
+    monkeypatch.setattr(sync, "apply_word_all", lambda A, word: np.arange(A.n))
+    with pytest.raises(RuntimeError, match="^greedy word failed to reset$"):
         greedy_fallback(A3)
 
 
