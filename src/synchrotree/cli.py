@@ -101,10 +101,16 @@ def _cmd_tree_words(args):
     return 0 if found else 1
 
 
+def _report(record):
+    """Print an experiment's aggregates; 2 if it is an audit that failed,
+    on a round trip or a commutation, else 0."""
+    agg = record.aggregates
+    _emit(agg)
+    return 2 if agg.get("total_failures") or agg.get("commute_failures") else 0
+
+
 def _cmd_bijection_audit(args):
-    record = exp_bijection_audit(n_max=args.n, k_max=args.k)
-    _emit(record.aggregates)
-    return 0 if record.aggregates["total_failures"] == 0 else 2
+    return _report(exp_bijection_audit(n_max=args.n, k_max=args.k))
 
 
 def _cmd_explore(args):
@@ -151,9 +157,7 @@ def _cmd_experiment(args):
         config = config_from_json(payload)
     except ValueError as exc:
         raise _CliError(str(exc))
-    record = run(config, workers=args.workers)
-    _emit(record.aggregates)
-    return 0
+    return _report(run(config, workers=args.workers))
 
 
 @functools.lru_cache(maxsize=1)  # built once, on first use rather than at import

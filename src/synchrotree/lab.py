@@ -189,36 +189,31 @@ def load_automaton(path):
         return automaton_from_json(json.load(f))
 
 
-# one row per trial; module level so process pools can pick them up. Trials
-# read records off their own draws: random_labeling's are valid by contract
+# one trial's measured columns, from the automaton _job drew and the rest of
+# its stream; module level so process pools can pick them up. Trials read
+# records off their own draws: random_labeling's are valid by contract
 
 _word_of = functools.cache(Word)  # one immutable Word per text, not per trial
 
 
-def _row_tree_probability(cfg, n, k, trial, seed):
-    rng = rng_from_seed(seed)
-    A = random_automaton(n, seed=rng)
-    return (n, trial, int(is_w_tree(A, _word_of(cfg.word))))
+def _row_tree_probability(cfg, A, k, rng):
+    return (int(is_w_tree(A, _word_of(cfg.word))),)
 
 
-def _row_moment_estimate(cfg, n, k, trial, seed):
-    rng = rng_from_seed(seed)
-    A = random_automaton(n, seed=rng)
-    v = int(rng.integers(0, n))
-    sigma = random_labeling(n, rng)
+def _row_moment_estimate(cfg, A, k, rng):
+    v = int(rng.integers(0, A.n))
+    sigma = random_labeling(A.n, rng)
     w = random_nc_word(k, A.r, rng)
-    return (n, trial, int(_good_marked_tree(A, v, sigma, w)))
+    return (int(_good_marked_tree(A, v, sigma, w)),)
 
 
-def _row_scaling(cfg, n, k, trial, seed):
-    rng = rng_from_seed(seed)
-    A = random_automaton(n, seed=rng)
+def _row_scaling(cfg, A, k, rng):
     cert = tree_sync_word(A, epsilon=cfg.k_rule[1], budget=cfg.budget)
     if cert is None:
-        return (n, trial, 0, k, None, None)
+        return (0, k, None, None)
     if not cert.verified:
         raise RuntimeError("tree certificate was not verified")
-    return (n, trial, 1, k, cert.height, len(cert.word))
+    return (1, k, cert.height, len(cert.word))
 
 
 @functools.cache  # one pair of immutable words per k, not one per trial
@@ -234,25 +229,21 @@ def _nc_word_pair(k):
     raise ValueError("no mutually non-conjugate word pair at this length")
 
 
-def _row_goodness(cfg, n, k, trial, seed):
-    rng = rng_from_seed(seed)
+def _row_goodness(cfg, A, k, rng):
     w1, w2 = _nc_word_pair(k)
-    A = random_automaton(n, seed=rng)
-    minima1 = _cycle_minima(cycles(apply_word_all(A, w1)), random_labeling(n, rng))
+    minima1 = _cycle_minima(cycles(apply_word_all(A, w1)), random_labeling(A.n, rng))
     # triple (1, 1, 1) decides cycle_bad; a cycle-bad trial never draws sigma2
     if _arrival_on(A, w1, minima1.vertices) is not None:
-        return (n, trial, k, 1, 1)
-    minima2 = _cycle_minima(cycles(apply_word_all(A, w2)), random_labeling(n, rng))
+        return (k, 1, 1)
+    minima2 = _cycle_minima(cycles(apply_word_all(A, w2)), random_labeling(A.n, rng))
     arrival = _arrival_among(A, {1: w1, 2: w2}, {1: minima1, 2: minima2}, ALL_TRIPLES[1:])
-    return (n, trial, k, 0, int(arrival is not None))
+    return (k, 0, int(arrival is not None))
 
 
-def _row_height(cfg, n, k, trial, seed):
-    rng = rng_from_seed(seed)
-    A = random_automaton(n, seed=rng)
+def _row_height(cfg, A, k, rng):
     w = Word(rng.integers(0, A.r, size=k).tolist())
     h = height(apply_word_all(A, w))
-    return (n, trial, k, h, int(h > 5 * math.sqrt(n)))
+    return (k, h, int(h > 5 * math.sqrt(A.n)))
 
 
 def _freq(values):
@@ -392,8 +383,12 @@ EXPERIMENTS = {
 
 
 def _job(args):
+    """One trial's row: the automaton is the first draw from the trial's
+    seed, and the row reads the rest of the stream after it."""
     cfg, n, k, trial, seed = args
-    return EXPERIMENTS[cfg.experiment].row(cfg, n, k, trial, seed)
+    rng = rng_from_seed(seed)
+    A = random_automaton(n, seed=rng)
+    return (n, trial) + EXPERIMENTS[cfg.experiment].row(cfg, A, k, rng)
 
 
 def run(config, workers=None):
@@ -410,7 +405,7 @@ def run(config, workers=None):
     if any(n < 2 for n in config.sizes):
         raise ValueError("sizes: experiments need at least two states")
     if config.experiment == "bijection_audit":
-        record = _run_bijection_audit(config)
+        rows, aggregates = _run_bijection_audit(config)
     else:
         if config.experiment == "tree_probability" and not config.word:
             raise ValueError("word: required for tree_probability")
@@ -432,12 +427,11 @@ def run(config, workers=None):
                 rows = list(pool.map(_job, jobs, chunksize=64))
         else:
             rows = [_job(args) for args in jobs]
-        rows = tuple(rows)
-        exp = EXPERIMENTS[config.experiment]
-        record = ExperimentRecord(
-            config=config, columns=exp.columns, rows=rows,
-            aggregates=exp.aggregate(config, rows),
-        )
+        aggregates = EXPERIMENTS[config.experiment].aggregate(config, rows)
+    record = ExperimentRecord(
+        config=config, columns=EXPERIMENTS[config.experiment].columns,
+        rows=tuple(rows), aggregates=aggregates,
+    )
     if config.out:
         write_record_csv(record, config.out)
     return record
@@ -592,11 +586,7 @@ def _run_bijection_audit(config):
             autos, Word("aab"), Word("abb"), trees["aab"], trees["abb"])
         aggregates["commute_checked"] = checked
         aggregates["commute_failures"] = failures
-    record = ExperimentRecord(
-        config=config, columns=EXPERIMENTS["bijection_audit"].columns,
-        rows=tuple(rows), aggregates=aggregates,
-    )
-    return record
+    return rows, aggregates
 
 
 # spec-level entry points with explicit arguments

@@ -66,8 +66,8 @@ class SyncCertificate:
         return doc
 
 
-def _certificate(A, word, times, method, **fields):
-    """The verified certificate for word repeated times, else RuntimeError.
+def _reset_sink(A, word, times):
+    """The state that word repeated times sends every state to, else None.
 
     word's map comes from apply_word_all, so that the check does not rest
     on a search's own tables, and is raised to the power times by
@@ -81,7 +81,13 @@ def _certificate(A, word, times, method, **fields):
         if times >> bit & 1:
             images = f[images]
     sink = int(images[0])
-    if not (images == sink).all():
+    return sink if (images == sink).all() else None
+
+
+def _certificate(A, word, times, method, **fields):
+    """The verified certificate for word repeated times, else RuntimeError."""
+    sink = _reset_sink(A, word, times)
+    if sink is None:
         raise RuntimeError("%s word failed to reset" % method)
     return SyncCertificate(word=word.repeat(times), sink=sink, method=method,
                            verified=True, **fields)
@@ -89,11 +95,7 @@ def _certificate(A, word, times, method, **fields):
 
 def is_synchronizing(A, word):
     """The common image state if the word resets A, else None."""
-    images = apply_word_all(A, word)
-    first = int(images[0])
-    if (images == first).all():
-        return first
-    return None
+    return _reset_sink(A, word, 1)
 
 
 _FIRST_BATCH = 1024

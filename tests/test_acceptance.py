@@ -40,6 +40,7 @@ from synchrotree.lab import (
     exp_height,
     exp_moment_estimate,
     exp_scaling,
+    recompute_aggregates,
 )
 from synchrotree.records import Labeled, is_cycle_good, random_labeling
 from synchrotree.sync import (
@@ -67,6 +68,7 @@ def test_criterion_01_exhaustive_bijection_audit(audit33):
     assert agg["cardinalities_match"] is True
     assert agg["commute_failures"] == 0
     assert agg["total_round_trips"] == 31096
+    assert recompute_aggregates(audit33) == agg
     assert audit33.rows == (
         (2, 1, "a", 32, 32, 64, 0), (2, 1, "b", 32, 32, 64, 0),
         (2, 2, "ab", 12, 12, 24, 0), (2, 2, "ba", 12, 12, 24, 0),

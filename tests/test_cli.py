@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -9,7 +10,7 @@ import pytest
 from synchrotree import cli, sync
 from synchrotree.cli import main
 from synchrotree.core import Automaton, Word, random_automaton
-from synchrotree.lab import save_automaton
+from synchrotree.lab import exp_bijection_audit, save_automaton
 from synchrotree.sync import cerny_automaton, find_tree_word, pick_tree_length
 
 A3 = Automaton([[1, 2, 0], [0, 0, 0]])
@@ -166,6 +167,24 @@ def test_bijection_audit_cli(capsys):
     assert rc == 2 and out == "" and "at least two states" in err
 
 
+@pytest.mark.parametrize("key", ["total_failures", "commute_failures"])
+def test_failed_audit_exits_2_from_both_commands(tmp_path, capsys, monkeypatch, key):
+    # a failed round trip and a failed commutation both fail the audit,
+    # and both commands still print its aggregates
+    real = exp_bijection_audit(2, 2)
+    failed = dataclasses.replace(real, aggregates={**real.aggregates, key: 1})
+    monkeypatch.setattr(cli, "run", lambda config, workers=None: failed)
+    monkeypatch.setattr(cli, "exp_bijection_audit", lambda n_max, k_max: failed)
+    cfg = tmp_path / "audit.json"
+    cfg.write_text(json.dumps({"experiment": "bijection_audit", "sizes": [2],
+                               "k_rule": {"type": "explicit", "value": 2}}))
+    for argv in (["experiment", "bijection_audit", "--config", str(cfg)],
+                 ["bijection-audit", "--n", "2", "--k", "2"]):
+        rc, out, _ = _run(capsys, argv)
+        assert rc == 2
+        assert json.loads(out) == failed.aggregates
+
+
 def test_explore_cli_frozen(tmp_path, capsys):
     path = _write(tmp_path, "a3.json", A3)
     spec = tmp_path / "spec.json"
@@ -256,6 +275,12 @@ def test_experiment_cli(tmp_path, capsys):
     assert [p["n"] for p in doc["per_n"]] == [12, 24]
     rc, _, err = _run(capsys, ["experiment", "height", "--config", str(cfg)])
     assert rc == 2 and "config is for experiment" in err
+    # ab and ba, the only words of length 2, give goodness no word pair
+    cfg.write_text(json.dumps({"experiment": "goodness", "sizes": [12], "trials": 2,
+                               "k_rule": {"type": "explicit", "value": 2}}))
+    rc, out, err = _run(capsys, ["experiment", "goodness", "--config", str(cfg)])
+    assert rc == 2 and out == ""
+    assert err == "error: no mutually non-conjugate word pair at this length\n"
 
 
 def test_experiment_cli_refuses_workers_below_one(tmp_path, capsys):

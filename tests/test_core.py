@@ -127,6 +127,8 @@ def test_nc_word_count_formula_matches_enumeration():
             assert count_nc_words(k, r) == sum(1 for _ in enumerate_nc_words(k, r))
     with pytest.raises(ValueError):
         count_nc_words(0)
+    with pytest.raises(ValueError, match="word length must be positive"):
+        list(enumerate_nc_words(0))
 
 
 def test_nc_lower_bound():
@@ -175,6 +177,10 @@ def test_automaton_validation():
         Automaton([[2, 0], [0, 0]])
     with pytest.raises(ValueError):
         Automaton([[0, 1]])
+    with pytest.raises(ValueError, match="2d table"):
+        Automaton([0, 1])
+    with pytest.raises(ValueError, match="at least one state"):
+        Automaton([[], []])
     # a table must have an integer dtype: floats, bools and strings are
     # refused, not truncated to states, and so is a bool among int entries,
     # which numpy would promote to 0 or 1
@@ -598,6 +604,7 @@ def test_json_round_trip():
     }
     assert automaton_from_json(doc) == A3
     for bad, field in (
+        ([A3.to_json_dict()], "automaton document must be a JSON object"),
         ({}, "format"),
         ({"format": "synchrotree-automaton-v1"}, "n"),
         ({"format": "synchrotree-automaton-v1", "n": 2}, "alphabet"),
@@ -615,6 +622,7 @@ def test_json_round_trip():
         ({**doc, "delta": [[1, True, 0], [0, 0, 0]]}, "delta[0][1]"),
         ({**doc, "delta": [[1, 2, 0], [0, 0, False]]}, "delta[1][2]"),
         ({**doc, "delta": [[1, 2, 0], [0, 1.0, 0]]}, "delta[1][1]"),
+        ({**doc, "delta": [[1, 2, 0], [0, 0]]}, "delta[1]: expected 3 entries"),
     ):
         with pytest.raises(SchemaError) as err:
             automaton_from_json(bad)

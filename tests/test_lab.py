@@ -256,9 +256,7 @@ def test_rows_reproducible_from_seeds():
     for si, n in enumerate(cfg.sizes):
         for trial in (0, 7):
             index = si * cfg.trials + trial
-            row = lab.EXPERIMENTS["goodness"].row(
-                cfg, n, 3, trial, trial_seed(cfg.seed, index)
-            )
+            row = lab._job((cfg, n, 3, trial, trial_seed(cfg.seed, index)))
             assert row == record.rows[index]
 
 
@@ -273,7 +271,7 @@ def test_goodness_row_flags_are_the_two_events(n, k, seed):
     cfg = ExperimentConfig(
         experiment="goodness", sizes=(n,), k_rule=("explicit", k)
     )
-    row = lab.EXPERIMENTS["goodness"].row(cfg, n, k, 0, seed)
+    row = lab._job((cfg, n, k, 0, seed))
     rng = rng_from_seed(seed)
     w1, w2 = lab._nc_word_pair(k)
     A = Automaton(rng.integers(0, n, size=(2, n)))
@@ -296,7 +294,7 @@ def test_moment_row_hit_is_the_good_marked_tree_event(n, k, seed):
     cfg = ExperimentConfig(
         experiment="moment_estimate", sizes=(n,), k_rule=("explicit", k)
     )
-    row = lab.EXPERIMENTS["moment_estimate"].row(cfg, n, k, 0, seed)
+    row = lab._job((cfg, n, k, 0, seed))
     rng = rng_from_seed(seed)
     A = random_automaton(n, seed=rng)
     v = int(rng.integers(0, n))
@@ -381,6 +379,9 @@ def test_run_validation():
         run(ExperimentConfig(experiment="goodness", sizes=(1,)))
     with pytest.raises(ValueError, match="length disagrees"):
         exp_tree_probability(10, 3, "ab", trials=2)
+    # ab and ba, the only words of length 2, are conjugates
+    with pytest.raises(ValueError, match="no mutually non-conjugate word pair"):
+        exp_goodness(sizes=(8,), k_rule=("explicit", 2), trials=1)
 
 
 def test_tree_probability_band():
@@ -434,6 +435,14 @@ def test_scaling_small_sizes():
     assert agg["bound_factor"] == 10.0
     if all(p["median_len"] for p in agg["per_n"]):
         assert agg["slope"] is not None
+    # a budget of 0 examines no candidate, so every trial fails, and a
+    # config file's budget is the same one
+    record = exp_scaling((64,), trials=3, seed=0, budget=0)
+    assert record.rows == tuple((64, t, 0, 8, None, None) for t in range(3))
+    assert record.aggregates["per_n"][0]["success_rate"] == 0.0
+    cfg = config_from_json({"experiment": "scaling", "sizes": [64], "trials": 3,
+                            "budget": 0})
+    assert run(cfg) == record
 
 
 def test_scaling_k_column_is_the_searched_length(monkeypatch):

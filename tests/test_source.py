@@ -94,6 +94,22 @@ def test_certificates_are_built_only_by_the_one_check():
     assert built
 
 
+def test_trials_are_drawn_only_by_the_one_driver():
+    # every lab trial draws its automaton in _job, before its row reads
+    # anything else, so no row can reorder the stream the frozen CSVs pin
+    path = next(path for path in SOURCES if path.name == "lab.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (job,) = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_job"]
+    found = []
+    for name in ("rng_from_seed", "random_automaton"):
+        drawn = _calls(job, name)
+        assert drawn
+        found += ["lab.py:%d %s" % (node.lineno, name)
+                  for node in _calls(tree, name) - drawn]
+    assert sorted(found) == []
+
+
 def test_every_imported_name_is_read():
     # a module reads each name it imports; __init__.py imports to re-export
     assert SOURCES
