@@ -2,6 +2,7 @@
 
 Exit codes: 0 on success, 1 when a search legitimately finds nothing
 (no tree word, not synchronizable), 2 on errors of any other kind.
+main prints every refusal, from any layer, as one "error:" line with exit 2.
 """
 
 import argparse
@@ -28,19 +29,15 @@ from .sync import (
 )
 
 
-class _CliError(Exception):
-    pass
-
-
 def _read_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise _CliError("cannot read %s: %s" % (path, exc))
+        raise ValueError("cannot read %s: %s" % (path, exc))
     except (json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nesting deeper than the parser can follow
-        raise _CliError("%s is not valid JSON: %s" % (path, exc))
+        raise ValueError("%s is not valid JSON: %s" % (path, exc))
 
 
 def _load_automaton(path):
@@ -48,7 +45,7 @@ def _load_automaton(path):
     try:
         return automaton_from_json(payload)
     except SchemaError as exc:
-        raise _CliError("%s: %s" % (path, exc))
+        raise ValueError("%s: %s" % (path, exc))
 
 
 def _emit(payload):
@@ -78,10 +75,7 @@ def _cmd_sync(args):
 
 def _cmd_sync_exact(args):
     A = _load_automaton(args.infile)
-    try:
-        word = shortest_sync_word_exact(A)
-    except ValueError as exc:
-        raise _CliError(str(exc))
+    word = shortest_sync_word_exact(A)
     if word is None:
         print("not synchronizable", file=sys.stderr)
         return 1
@@ -115,16 +109,16 @@ def _cmd_bijection_audit(args):
 
 def _cmd_explore(args):
     A = _load_automaton(args.infile)
-    spec = _input_spec_from_json(_read_json(args.spec), A)
+    spec = _input_spec_from_json(_read_json(args.spec))
     trace = explore(A, spec)
     for line in dump_lines(trace):
-        print(json.dumps(line, sort_keys=True))
+        _emit(line)
     return 0
 
 
-def _input_spec_from_json(payload, A):
+def _input_spec_from_json(payload):
     if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
-        raise _CliError('input spec must be an object with an "entries" list')
+        raise ValueError('input spec must be an object with an "entries" list')
     entries = []
     for item in payload["entries"]:
         try:
@@ -136,27 +130,21 @@ def _input_spec_from_json(payload, A):
                 raise TypeError("word must be a string")
             entries.append((x, r, Word(w)))
         except (KeyError, TypeError, ValueError) as exc:
-            raise _CliError("bad input spec entry %r: %s" % (item, exc))
-    try:
-        return InputSpec(tuple(entries))
-    except ValueError as exc:
-        raise _CliError(str(exc))
+            raise ValueError("bad input spec entry %r: %s" % (item, exc))
+    return InputSpec(tuple(entries))
 
 
 def _cmd_experiment(args):
     payload = _read_json(args.config)
     if not isinstance(payload, dict):
-        raise _CliError("%s: config must be a JSON object" % args.config)
+        raise ValueError("%s: config must be a JSON object" % args.config)
     payload.setdefault("experiment", args.name)
     if payload["experiment"] != args.name:
-        raise _CliError(
+        raise ValueError(
             "config is for experiment %r, command line says %r"
             % (payload["experiment"], args.name)
         )
-    try:
-        config = config_from_json(payload)
-    except ValueError as exc:
-        raise _CliError(str(exc))
+    config = config_from_json(payload)
     return _report(run(config, workers=args.workers))
 
 
@@ -218,8 +206,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (_CliError, SchemaError, ValueError, OSError, OverflowError,
-            MemoryError, RuntimeError) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError, RuntimeError) as exc:
         # RuntimeError: a result that failed its own check
         print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 2

@@ -97,7 +97,7 @@ class ExperimentConfig:
                 raise ValueError("budget: expected null or a whole number >= 0")
             object.__setattr__(self, "budget", int(self.budget))
         rule = tuple(self.k_rule)
-        if rule[0] not in ("explicit", "log2", "ln") or len(rule) != 2:
+        if len(rule) != 2 or rule[0] not in ("explicit", "log2", "ln"):
             raise ValueError("k_rule: expected (explicit|log2|ln, value)")
         if not is_finite_number(rule[1]):
             raise ValueError("k_rule: value must be a finite number")

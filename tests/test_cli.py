@@ -473,3 +473,35 @@ def test_sync_bad_search_arguments(tmp_path, capsys):
             main(["sync", "--in", path, "--budget", value])
         assert exit_info.value.code == 2
         assert "--budget" in capsys.readouterr().err
+
+
+# one case per kind of raise that reaches main: a search's own refusal, a
+# spec, a config, an unreadable file, bad JSON and a schema refusal; {dir}
+# stands for the test's directory
+@pytest.mark.parametrize("files, argv, err", [
+    ({"A.json": random_automaton(21, seed=0)}, ["sync-exact", "--in", "{dir}/A.json"],
+     "state powerset search capped at 20 states"),
+    ({"A.json": A3, "spec.json": '{"entries": []}'},
+     ["explore", "--in", "{dir}/A.json", "--spec", "{dir}/spec.json"],
+     "need at least one entry"),
+    ({"cfg.json": '{"sizes": [10], "trials": 0}'},
+     ["experiment", "height", "--config", "{dir}/cfg.json"],
+     "trials: expected a whole number >= 1"),
+    ({}, ["sync", "--in", "{dir}/A.json"],
+     "cannot read {dir}/A.json: [Errno 2] No such file or directory: '{dir}/A.json'"),
+    ({"A.json": "{"}, ["sync", "--in", "{dir}/A.json"],
+     "{dir}/A.json is not valid JSON: Expecting property name enclosed in double "
+     "quotes: line 1 column 2 (char 1)"),
+    ({"A.json": json.dumps({**A3.to_json_dict(), "format": "other"})},
+     ["sync", "--in", "{dir}/A.json"],
+     "{dir}/A.json: format: expected 'synchrotree-automaton-v1'"),
+], ids=["search", "spec", "config", "unreadable", "not-json", "schema"])
+def test_refusals_print_one_error_line(tmp_path, capsys, files, argv, err):
+    for name, content in files.items():
+        if isinstance(content, Automaton):
+            _write(tmp_path, name, content)
+        else:
+            (tmp_path / name).write_text(content)
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    rc, out, got = _run(capsys, argv)
+    assert (rc, out, got) == (2, "", "error: %s\n" % err.replace("{dir}", str(tmp_path)))

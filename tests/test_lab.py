@@ -101,7 +101,7 @@ def test_config_validation_messages():
             ExperimentConfig(
                 experiment="goodness", sizes=(4,), k_rule=("explicit", value)
             )
-    for rule in (("log2", float("inf")), ("ln", float("-inf"))):
+    for rule in ((), ("log2",), ("log2", float("inf")), ("ln", float("-inf"))):
         with pytest.raises(ValueError, match="k_rule"):
             ExperimentConfig(experiment="goodness", sizes=(4,), k_rule=rule)
     for value in ("5", 2.5, 0, True, None, float("nan")):

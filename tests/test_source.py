@@ -94,6 +94,27 @@ def test_certificates_are_built_only_by_the_one_check():
     assert built
 
 
+def test_refusals_reach_main_as_raised():
+    # cli.main is the one place where a refusal becomes exit code 2: cli
+    # defines no exception class of its own, and no handler in the package
+    # raises another exception with nothing but the caught one's text
+    assert SOURCES
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if path.name == "cli.py" and isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(base).endswith(("Error", "Exception")) for base in node.bases):
+                found.append("%s:%d" % (path.name, node.lineno))
+            if isinstance(node, ast.ExceptHandler) and node.name and len(node.body) == 1:
+                (stmt,) = node.body
+                if (isinstance(stmt, ast.Raise) and isinstance(stmt.exc, ast.Call)
+                        and not stmt.exc.keywords
+                        and [ast.unparse(arg) for arg in stmt.exc.args] == ["str(%s)" % node.name]):
+                    found.append("%s:%d" % (path.name, stmt.lineno))
+    assert sorted(found) == []
+
+
 def test_trials_are_drawn_only_by_the_one_driver():
     # every lab trial draws its automaton in _job, before its row reads
     # anything else, so no row can reorder the stream the frozen CSVs pin
